@@ -216,14 +216,15 @@ pub fn fmt_minutes(ms: f64) -> String {
 
 /// Machine-readable benchmark artifacts (`BENCH_infer.json` /
 /// `BENCH_train.json`): the criterion bench mains convert the vendored
-/// harness's measurement records into [`bench_json::BenchRow`]s and persist them, so
+/// harness's measurement records into [`bench_json::BenchRow`]s and merge them in, so
 /// the perf trajectory is recorded as data across PRs instead of living
 /// only in README tables.
 pub mod bench_json {
-    use serde::Serialize;
+    use serde::{Deserialize, Serialize};
+    use std::path::{Path, PathBuf};
 
     /// One benchmark measurement, flattened for the JSON artifact.
-    #[derive(Debug, Clone, Serialize)]
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     pub struct BenchRow {
         /// Model tier axis of the bench group (`edge`, `paper`) or the
         /// tier-independent group name (`pool`, `oneshot`).
@@ -238,6 +239,13 @@ pub mod bench_json {
         /// Worker thread count of the row (parsed from a `_t<N>` suffix;
         /// 1 where the row has no thread axis).
         pub threads: usize,
+    }
+
+    impl BenchRow {
+        /// The identity a newer measurement replaces an older one by.
+        fn key(&self) -> (&str, &str, usize, &str) {
+            (&self.tier, &self.name, self.threads, &self.kernel_tier)
+        }
     }
 
     /// Parses a harness label (`file/tier/name/param`) into a row, with
@@ -261,32 +269,115 @@ pub mod bench_json {
         })
     }
 
-    /// Writes the rows as a JSON array, one object per line (so the
-    /// committed artifact diffs row-by-row across PRs). Bare file names
-    /// are anchored at the workspace root — `cargo bench` runs with the
-    /// package directory as cwd, and the artifact belongs next to
-    /// README's tables, not inside `crates/bench/`.
+    /// Merges the rows into `file_name` at the root of the workspace the
+    /// bench runs in (found from the current directory at run time, so a
+    /// binary built from one checkout never writes into another). A row
+    /// replaces the stored row with the same `(tier, name, threads,
+    /// kernel_tier)`; every other stored row is kept, so a partial run
+    /// never erases the rest of the artifact. The file is a JSON array
+    /// with one object per line, so it diffs row by row.
     ///
     /// # Panics
-    /// Panics if the file cannot be written — a bench artifact silently
-    /// missing is worse than a failed bench run.
+    /// Panics if no workspace root is found or the file cannot be read,
+    /// parsed or written — a bench artifact silently missing is worse
+    /// than a failed bench run.
     pub fn write(file_name: &str, rows: &[BenchRow]) {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(file_name);
+        let cwd = std::env::current_dir().expect("current directory is readable");
+        let root = workspace_root(&cwd).unwrap_or_else(|| {
+            panic!("no Cargo.toml with [workspace] at or above {}", cwd.display())
+        });
+        let path = root.join(file_name);
+        let total = merge_into(&path, rows);
+        println!("merged {} rows into {} ({total} rows)", rows.len(), path.display());
+    }
+
+    /// The nearest directory at or above `from` whose `Cargo.toml`
+    /// declares `[workspace]`.
+    fn workspace_root(from: &Path) -> Option<PathBuf> {
+        from.ancestors()
+            .find(|dir| {
+                std::fs::read_to_string(dir.join("Cargo.toml"))
+                    .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+            })
+            .map(Path::to_path_buf)
+    }
+
+    /// Merges `rows` into the artifact at `path` (see [`write`]) and
+    /// returns the artifact's row count.
+    fn merge_into(path: &Path, rows: &[BenchRow]) -> usize {
+        let mut merged: Vec<BenchRow> = match std::fs::read_to_string(path) {
+            Ok(json) => serde_json::from_str(&json)
+                .unwrap_or_else(|e| panic!("cannot parse bench artifact {}: {e}", path.display())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => panic!("cannot read bench artifact {}: {e}", path.display()),
+        };
+        for row in rows {
+            match merged.iter_mut().find(|old| old.key() == row.key()) {
+                Some(old) => *old = row.clone(),
+                None => merged.push(row.clone()),
+            }
+        }
         let mut json = String::from("[\n");
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in merged.iter().enumerate() {
             json.push_str("  ");
             json.push_str(&serde_json::to_string(row).expect("bench row serializes"));
-            if i + 1 < rows.len() {
+            if i + 1 < merged.len() {
                 json.push(',');
             }
             json.push('\n');
         }
         json.push_str("]\n");
-        std::fs::write(&path, json)
+        std::fs::write(path, json)
             .unwrap_or_else(|e| panic!("cannot write bench artifact {}: {e}", path.display()));
-        println!("wrote {} rows to {}", rows.len(), path.display());
+        merged.len()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn row(name: &str, threads: usize, ns_per_iter: u64) -> BenchRow {
+            BenchRow {
+                tier: "paper".into(),
+                name: name.into(),
+                ns_per_iter,
+                kernel_tier: "scalar".into(),
+                threads,
+            }
+        }
+
+        #[test]
+        fn writes_find_the_workspace_root_and_merge_by_key() {
+            let tmp = std::env::temp_dir().join(format!("qpp_bench_json_{}", std::process::id()));
+            let nested = tmp.join("crates").join("bench");
+            std::fs::create_dir_all(&nested).unwrap();
+            std::fs::write(tmp.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+            std::fs::write(nested.join("Cargo.toml"), "[package]\nname = \"x\"\n").unwrap();
+            assert_eq!(workspace_root(&nested), Some(tmp.clone()));
+
+            let path = tmp.join("BENCH_test.json");
+            let first = [row("program", 1, 100), row("program", 2, 60), row("classes", 1, 300)];
+            assert_eq!(merge_into(&path, &first), 3);
+            // Overlaps (program, t2) only; adds (program_precompiled, t1).
+            let second = [row("program", 2, 55), row("program_precompiled", 1, 40)];
+            assert_eq!(merge_into(&path, &second), 4);
+
+            let stored: Vec<BenchRow> =
+                serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            assert_eq!(
+                stored,
+                vec![
+                    row("program", 1, 100),
+                    row("program", 2, 55),
+                    row("classes", 1, 300),
+                    row("program_precompiled", 1, 40),
+                ]
+            );
+            // A row measured under another kernel tier is a different row.
+            let other_tier = BenchRow { kernel_tier: "avx2".into(), ..row("program", 1, 90) };
+            assert_eq!(merge_into(&path, &[other_tier]), 5);
+            std::fs::remove_dir_all(&tmp).unwrap();
+        }
     }
 }
 

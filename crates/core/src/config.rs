@@ -168,16 +168,7 @@ pub enum TrainEngine {
 }
 
 impl TrainEngine {
-    /// Parses the CLI spelling (`classes` | `program`).
-    pub fn parse(s: &str) -> Option<TrainEngine> {
-        match s {
-            "classes" => Some(TrainEngine::Classes),
-            "program" => Some(TrainEngine::Program),
-            _ => None,
-        }
-    }
-
-    /// Display name (the CLI spelling).
+    /// Display name used in reports and bench labels.
     pub fn name(self) -> &'static str {
         match self {
             TrainEngine::Classes => "classes",
@@ -415,15 +406,6 @@ mod tests {
         assert_eq!(cfg.lr_schedule, LrSchedule::Constant);
         assert_eq!(cfg.early_stop_patience, None);
         assert_eq!(cfg.train_engine, TrainEngine::Program);
-    }
-
-    #[test]
-    fn train_engine_parses_cli_spellings() {
-        assert_eq!(TrainEngine::parse("classes"), Some(TrainEngine::Classes));
-        assert_eq!(TrainEngine::parse("program"), Some(TrainEngine::Program));
-        assert_eq!(TrainEngine::parse("wavefront"), None);
-        assert_eq!(TrainEngine::Program.name(), "program");
-        assert_eq!(TrainEngine::Classes.name(), "classes");
     }
 
     #[test]

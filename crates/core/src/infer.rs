@@ -84,18 +84,7 @@ pub enum InferEngine {
 }
 
 impl InferEngine {
-    /// Parses the CLI spelling (`classes` | `program`); `program` defaults
-    /// to single-threaded execution (compose with
-    /// [`InferEngine::with_threads`] for the CLI's `--threads` flag).
-    pub fn parse(s: &str) -> Option<InferEngine> {
-        match s {
-            "classes" => Some(InferEngine::Classes),
-            "program" => Some(InferEngine::Program { threads: 1 }),
-            _ => None,
-        }
-    }
-
-    /// Display name (the CLI spelling).
+    /// Display name used in reports and bench labels.
     pub fn name(self) -> &'static str {
         match self {
             InferEngine::Classes => "classes",
@@ -1313,9 +1302,6 @@ mod tests {
 
     #[test]
     fn engine_thread_accessors() {
-        assert_eq!(InferEngine::parse("program"), Some(InferEngine::Program { threads: 1 }));
-        assert_eq!(InferEngine::parse("classes"), Some(InferEngine::Classes));
-        assert_eq!(InferEngine::parse("wavefront"), None);
         assert_eq!(InferEngine::default(), InferEngine::Program { threads: 1 });
         assert_eq!(InferEngine::Classes.threads(), 1);
         assert_eq!(InferEngine::Program { threads: 0 }.threads(), 1);

@@ -2,8 +2,8 @@
 //! TCP or unix sockets.
 //!
 //! This module turns the resident serving machinery — [`Tenants`] of
-//! per-model [`ShardedStream`]s with [`MicroBatcher`] coalescing on the
-//! process-wide executor — into an actual network service:
+//! per-model [`ShardedStream`]s on the process-wide executor — into an
+//! actual network service:
 //!
 //! * **Protocol** ([`proto`]): one JSON object per line, versioned
 //!   (`"v":1`), with `admit` / `retire` / `predict` / `admit_predict` /
@@ -20,24 +20,22 @@
 //!   a string-aware nesting-depth pre-scan ([`nesting_depth`]) so deeply
 //!   nested payloads cannot stack-overflow the recursive vendored parser.
 //! * **Server** ([`Server`]): one blocking handler thread per connection
-//!   inside a [`std::thread::scope`]; `admit_predict` requests coalesce
-//!   through a leader/follower queue into one [`MicroBatcher`] flush
-//!   (burst width [`ServeConfig::burst`], leader deadline
-//!   [`ServeConfig::burst_wait_us`]). All stream mutation happens under
-//!   one state lock with [`std::panic::catch_unwind`] backstops, so a
-//!   poisoned run is reported as an `internal` error to the offending
-//!   client while the daemon keeps serving (the PR 3/6 executor contract
-//!   already guarantees the worker pool itself survives panics).
-//! * **Fast path** ([`scratch`], DESIGN.md §13): eligible one-shot
-//!   `admit_predict` lines (when [`ServeConfig::fast_path`] is on and
-//!   `burst <= 1`) parse directly into per-connection scratch CSR
-//!   arrays, run `ShardedStream::predict_oneshot` without touching a
-//!   builder, and reply from a reused buffer in one write — zero heap
-//!   allocations per request at steady state (after a per-connection
-//!   warmup window; measured by the `steady_allocs` counter and a
-//!   regression test). Anything the scratch decoder cannot prove
-//!   eligible falls back to the general path, so error replies come
-//!   from exactly one code path and stay byte-identical.
+//!   inside a [`std::thread::scope`]. Every request is served by direct
+//!   stream calls under one state lock with [`std::panic::catch_unwind`]
+//!   backstops, so a poisoned run is reported as an `internal` error to
+//!   the offending client while the daemon keeps serving (the executor
+//!   contract already guarantees the worker pool itself survives panics).
+//! * **One request path** ([`scratch`], DESIGN.md §13): every line is
+//!   first offered to the scratch decoder. An eligible one-shot
+//!   `admit_predict` parses directly into per-connection scratch CSR
+//!   arrays, runs `ShardedStream::predict_oneshot` (whole-plan memo
+//!   first) without touching a builder, and replies from a reused buffer
+//!   in one write — zero heap allocations per request at steady state
+//!   (after a per-connection warmup window; measured by the
+//!   `steady_allocs` counter and a regression test). Anything the
+//!   scratch decoder cannot prove eligible is decoded by [`proto`], so
+//!   error replies come from exactly one code path; a one-shot decoded
+//!   there reaches the same `predict_oneshot` call.
 //! * **Why served bits equal in-process bits**: the wavefront kernels
 //!   are row-invariant and [`ShardedStream`] routing is content-hashed
 //!   (thread- and shard-count invariant), so any admit/retire/predict
@@ -50,7 +48,6 @@
 //!
 //! [`Tenants`]: crate::model::Tenants
 //! [`ShardedStream`]: crate::stream::ShardedStream
-//! [`MicroBatcher`]: crate::stream::MicroBatcher
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -60,11 +57,11 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::model::{QppNet, Tenants};
-use crate::stream::{MicroBatcher, PlanId};
+use crate::stream::{PlanId, ScratchPlan};
 use qpp_plansim::plan::PlanNode;
 
 pub use proto::{ErrorCode, ErrorReply, Request, Response, ServeStats};
@@ -183,8 +180,8 @@ pub mod proto {
             /// Wire id returned by a prior `admit`.
             id: u64,
         },
-        /// One-shot admit + predict; coalesces with concurrent requests
-        /// into one micro-batched wavefront run.
+        /// Admit + predict in one request; a one-shot (`keep:false`) is
+        /// answered without the plan ever becoming resident.
         AdmitPredict {
             /// The plan tree to predict.
             plan: Box<PlanNode>,
@@ -246,10 +243,6 @@ pub mod proto {
         pub retired: u64,
         /// Predictions served.
         pub predicted: u64,
-        /// Micro-batch flushes run.
-        pub batches: u64,
-        /// Requests that went through a micro-batch flush.
-        pub batched_requests: u64,
         /// Registered tenant models.
         pub tenants: u64,
         /// Plans currently resident across all tenants.
@@ -275,9 +268,10 @@ pub mod proto {
         /// warmed plan mix; novel feature rows still cost their
         /// one-time cache inserts.
         pub steady_allocs: u64,
-        /// Predict requests answered from the whole-plan prediction memo
+        /// One-shot predictions answered from the whole-plan prediction
+        /// memo
         /// ([`qppnet::stream::PredictionCache`](crate::stream::PredictionCache)),
-        /// across all tenants and serve surfaces.
+        /// across all tenants.
         pub cache_hits: u64,
         /// Predict requests that missed the memo (and then seeded it).
         pub cache_misses: u64,
@@ -463,8 +457,6 @@ pub mod proto {
             ("admitted", Value::Number(s.admitted as f64)),
             ("retired", Value::Number(s.retired as f64)),
             ("predicted", Value::Number(s.predicted as f64)),
-            ("batches", Value::Number(s.batches as f64)),
-            ("batched_requests", Value::Number(s.batched_requests as f64)),
             ("tenants", Value::Number(s.tenants as f64)),
             ("resident_plans", Value::Number(s.resident_plans as f64)),
             ("logical_nodes", Value::Number(s.logical_nodes as f64)),
@@ -507,8 +499,6 @@ pub mod proto {
             admitted: stats_field(m, "admitted")?,
             retired: stats_field(m, "retired")?,
             predicted: stats_field(m, "predicted")?,
-            batches: stats_field(m, "batches")?,
-            batched_requests: stats_field(m, "batched_requests")?,
             tenants: stats_field(m, "tenants")?,
             resident_plans: stats_field(m, "resident_plans")?,
             logical_nodes: stats_field(m, "logical_nodes")?,
@@ -994,48 +984,18 @@ pub struct ServeConfig {
     /// Shards per tenant stream (see
     /// [`QppNet::serve_sharded`](crate::QppNet::serve_sharded)).
     pub shards: usize,
-    /// Worker threads per wavefront run (bits are thread-invariant).
+    /// Worker threads per resident-plan run (bits are thread-invariant).
     pub threads: usize,
-    /// Coalescing width: an `admit_predict` flushes as soon as this many
-    /// requests are pending. `1` disables coalescing (flush immediately).
-    pub burst: usize,
-    /// How long a pending `admit_predict` waits for companions before
-    /// its handler flushes the partial batch itself (microseconds).
-    pub burst_wait_us: u64,
     /// Per-line byte cap for the framing layer.
     pub max_line: usize,
     /// Handler read-timeout granularity: how often a blocked handler
     /// wakes to poll the shutdown flag (milliseconds).
     pub poll_ms: u64,
-    /// Serve eligible one-shot `admit_predict` requests over the
-    /// zero-allocation fast path (scratch decode → one-shot run →
-    /// hand-rolled reply, bitwise-equal to the builder path). Only
-    /// engages when `burst <= 1`; micro-batch coalescing takes
-    /// precedence. The default honors the `QPP_SERVE_FAST_PATH` env var
-    /// (`0` disables, anything else — including unset — enables).
-    pub fast_path: bool,
-    /// Serve exact repeats of previously-answered plans from the
-    /// whole-plan prediction memo
-    /// ([`PredictionCache`](crate::stream::PredictionCache)): a lossless
-    /// full-key match, bitwise-equal to a fresh run, on every predict
-    /// surface (fast path, one-shot, micro-batch). The default honors
-    /// the `QPP_SERVE_CACHE` env var (`0` disables, anything else —
-    /// including unset — enables).
-    pub cache: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            shards: 1,
-            threads: 1,
-            burst: 1,
-            burst_wait_us: 200,
-            max_line: MAX_LINE_DEFAULT,
-            poll_ms: 25,
-            fast_path: std::env::var("QPP_SERVE_FAST_PATH").map_or(true, |v| v != "0"),
-            cache: std::env::var("QPP_SERVE_CACHE").map_or(true, |v| v != "0"),
-        }
+        ServeConfig { shards: 1, threads: 1, max_line: MAX_LINE_DEFAULT, poll_ms: 25 }
     }
 }
 
@@ -1082,31 +1042,12 @@ fn write_wire_f64(n: f64, out: &mut Vec<u8>) {
     }
 }
 
-type SlotResult = Result<(Option<u64>, f64), ErrorReply>;
-
-/// Rendezvous cell between an `admit_predict` handler (follower) and
-/// whichever handler runs the coalesced flush (leader).
-#[derive(Debug, Default)]
-struct Slot {
-    done: Mutex<Option<SlotResult>>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct PendingReq {
-    plan: Box<PlanNode>,
-    keep: bool,
-    fp: u64,
-    slot: Arc<Slot>,
-}
-
 struct State<'m> {
     tenants: Tenants<'m>,
     default_fp: Option<u64>,
     /// Wire id → (tenant fingerprint, resident plan id).
     sessions: HashMap<u64, (u64, PlanId)>,
     next_id: u64,
-    pending: Vec<PendingReq>,
     stats: proto::ServeStats,
 }
 
@@ -1169,7 +1110,6 @@ impl<'m> Server<'m> {
                 default_fp: None,
                 sessions: HashMap::new(),
                 next_id: 1,
-                pending: Vec::new(),
                 stats: proto::ServeStats::default(),
             }),
             fast: FastStats::default(),
@@ -1191,9 +1131,6 @@ impl<'m> Server<'m> {
     pub fn register(&mut self, model: &'m QppNet) -> u64 {
         let st = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
         let fp = st.tenants.register(model, self.cfg.shards);
-        if let Some(stream) = st.tenants.stream(fp) {
-            stream.set_prediction_cache(self.cfg.cache);
-        }
         st.default_fp.get_or_insert(fp);
         fp
     }
@@ -1237,9 +1174,6 @@ impl<'m> Server<'m> {
     fn handle(&self, mut conn: Conn) {
         let _ = conn.set_read_timeout(Some(Duration::from_millis(self.cfg.poll_ms)));
         let mut lb = LineBuf::new(self.cfg.max_line);
-        // Coalescing parks handlers on a condvar mid-request; the fast
-        // path only engages when bursts are disabled.
-        let fast = self.cfg.fast_path && self.cfg.burst <= 1;
         let mut scratch = scratch::RequestScratch::new();
         let mut out: Vec<u8> = Vec::with_capacity(256);
         let mut fast_served = 0u64;
@@ -1272,7 +1206,7 @@ impl<'m> Server<'m> {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    if fast && self.try_fast_path(line, &mut scratch, &mut out) {
+                    if self.try_fast_path(line, &mut scratch, &mut out) {
                         if conn.write_all(&out).is_err() {
                             return;
                         }
@@ -1342,8 +1276,7 @@ impl<'m> Server<'m> {
                 return false;
             };
             if !run.latency_ms.is_finite() {
-                // The oracle writer refuses non-finite numbers; let the
-                // slow path reproduce its exact behavior.
+                // Let the general path produce the error reply.
                 return false;
             }
             st.stats.requests += 1;
@@ -1475,116 +1408,59 @@ impl<'m> Server<'m> {
         }
     }
 
+    /// `admit_predict` decoded by the general decoder: a kept plan is
+    /// admitted and predicted as a resident plan, a one-shot goes through
+    /// the same [`ShardedStream::predict_oneshot`](crate::stream::ShardedStream::predict_oneshot)
+    /// call as the fast path.
     fn do_admit_predict(&self, plan: Box<PlanNode>, keep: bool, tenant: Option<u64>) -> Response {
         if let Err(why) = validate_plan(&plan) {
             return Response::Error(ErrorReply::new(ErrorCode::InvalidPlan, why));
         }
-        let slot = Arc::new(Slot::default());
-        let flush_now = {
-            let mut st = self.lock();
-            let fp = match Self::resolve_fp(&st, tenant) {
-                Ok(fp) => fp,
-                Err(e) => return Response::Error(e),
-            };
-            st.pending.push(PendingReq { plan, keep, fp, slot: Arc::clone(&slot) });
-            st.pending.len() >= self.cfg.burst.max(1)
-        };
-        if flush_now {
-            self.flush_pending();
-        } else {
-            // Follower: give companions burst_wait_us to coalesce, then
-            // lead the flush ourselves if nobody else has.
-            let wait = Duration::from_micros(self.cfg.burst_wait_us);
-            let guard = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-            let (guard, _) = slot
-                .cv
-                .wait_timeout_while(guard, wait, |done| done.is_none())
-                .unwrap_or_else(|e| e.into_inner());
-            let resolved = guard.is_some();
-            drop(guard);
-            if !resolved {
-                self.flush_pending();
-            }
-        }
-        // flush_pending resolves every drained slot before returning (and
-        // runs under the state lock, so a concurrent leader's flush has
-        // finished once ours returns); the slot must be filled now.
-        let guard = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.clone() {
-            Some(Ok((id, latency_ms))) => Response::Predicted { id, latency_ms },
-            Some(Err(rep)) => Response::Error(rep),
-            None => Response::Error(ErrorReply::new(
-                ErrorCode::Internal,
-                "coalesced request was never flushed",
-            )),
-        }
-    }
-
-    /// Drains the pending `admit_predict` queue and serves it as one
-    /// micro-batched run per tenant, resolving every slot.
-    fn flush_pending(&self) {
         let mut st = self.lock();
-        let drained = std::mem::take(&mut st.pending);
-        if drained.is_empty() {
-            return;
-        }
-        st.stats.batches += 1;
-        st.stats.batched_requests += drained.len() as u64;
-        // Group requests by tenant, preserving arrival order per tenant.
-        let mut by_fp: Vec<(u64, Vec<&PendingReq>)> = Vec::new();
-        for req in &drained {
-            match by_fp.iter_mut().find(|(fp, _)| *fp == req.fp) {
-                Some((_, group)) => group.push(req),
-                None => by_fp.push((req.fp, vec![req])),
-            }
-        }
+        let fp = match Self::resolve_fp(&st, tenant) {
+            Ok(fp) => fp,
+            Err(e) => return Response::Error(e),
+        };
         let threads = self.cfg.threads;
         let st = &mut *st;
-        for (fp, group) in by_fp {
-            let stream = st.tenants.stream(fp).expect("pending tenant is registered");
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut batcher = MicroBatcher::new();
-                for req in &group {
-                    batcher.submit(&req.plan);
-                }
-                batcher.flush_resident(stream, threads)
-            }));
-            match run {
-                Ok((pids, preds)) => {
-                    for ((req, pid), pred) in group.iter().zip(pids).zip(preds) {
-                        st.stats.admitted += 1;
-                        st.stats.predicted += 1;
-                        let wire = if req.keep {
-                            let wire = st.next_id;
-                            st.next_id += 1;
-                            st.sessions.insert(wire, (fp, pid));
-                            Some(wire)
-                        } else {
-                            // One-shot: retire immediately, same as
-                            // MicroBatcher::flush would.
-                            st.tenants
-                                .stream(fp)
-                                .expect("tenant still registered")
-                                .retire(pid);
-                            st.stats.retired += 1;
-                            None
-                        };
-                        resolve(&req.slot, Ok((wire, pred)));
-                    }
-                }
-                Err(_) => {
-                    for req in &group {
-                        resolve(
-                            &req.slot,
-                            Err(ErrorReply::new(
-                                ErrorCode::Internal,
-                                "micro-batch run panicked; batch rejected",
-                            )),
-                        );
-                    }
-                }
+        let stream = st.tenants.stream(fp).expect("resolved fingerprint is registered");
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if keep {
+                let pid = stream.admit(&plan);
+                (Some(pid), stream.predict_root_threaded(pid, threads))
+            } else {
+                let mut sp = ScratchPlan::new();
+                sp.rebuild_from_tree(&plan);
+                (None, stream.predict_oneshot(&sp).latency_ms)
             }
+        }));
+        let Ok((pid, latency_ms)) = run else {
+            return Response::Error(ErrorReply::new(
+                ErrorCode::Internal,
+                "admit_predict run panicked; request rejected",
+            ));
+        };
+        if !latency_ms.is_finite() {
+            if let Some(pid) = pid {
+                let _ = catch_unwind(AssertUnwindSafe(|| stream.retire(pid)));
+            }
+            return Response::Error(ErrorReply::new(
+                ErrorCode::Internal,
+                format!("prediction is not a finite number: {latency_ms}"),
+            ));
         }
+        st.stats.admitted += 1;
+        st.stats.predicted += 1;
+        let id = pid.map(|pid| {
+            let wire = st.next_id;
+            st.next_id += 1;
+            st.sessions.insert(wire, (fp, pid));
+            wire
+        });
+        if id.is_none() {
+            st.stats.retired += 1;
+        }
+        Response::Predicted { id, latency_ms }
     }
 
     fn do_stats(&self) -> Response {
@@ -1619,12 +1495,6 @@ impl Drop for Server<'_> {
             let _ = std::fs::remove_file(p);
         }
     }
-}
-
-fn resolve(slot: &Slot, result: SlotResult) {
-    let mut done = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-    *done = Some(result);
-    slot.cv.notify_all();
 }
 
 // --- client ----------------------------------------------------------------

@@ -30,8 +30,8 @@
 //!   full lossless plan key (every node's content words + the CSR child
 //!   structure + the clamp mode) turns an exact repeat of a previously
 //!   served plan — the dominant request class under Zipfian template
-//!   skew — into a hash probe instead of a wavefront run, on every
-//!   predict surface (one-shot, sharded, micro-batched).
+//!   skew — into a hash probe instead of a wavefront run on the one-shot
+//!   surface ([`ProgramBuilder::predict_oneshot`]).
 //!
 //! # Determinism
 //!
@@ -415,7 +415,6 @@ pub struct ProgramBuilder<'m> {
     oneshot: OneshotScratch,
     /// Whole-plan → prediction memo (see [`PredictionCache`]).
     pred_cache: PredictionCache,
-    pred_cache_on: bool,
     /// Reusable whole-plan key words; a warm probe assembles the key
     /// here without touching the allocator.
     key_scratch: Vec<u64>,
@@ -469,7 +468,6 @@ impl<'m> ProgramBuilder<'m> {
             child_scratch: Vec::new(),
             oneshot: OneshotScratch::default(),
             pred_cache: PredictionCache::new(),
-            pred_cache_on: true,
             key_scratch: Vec::new(),
             outputs: Matrix::zeros(0, out_w),
             row_free: Vec::new(),
@@ -711,13 +709,11 @@ impl<'m> ProgramBuilder<'m> {
         // Whole-plan memo probe: an exact repeat of a served plan skips
         // featurize + run entirely. The key lives in reusable scratch,
         // so a warm probe — hit or miss — never allocates.
-        if self.pred_cache_on {
-            let tc = std::time::Instant::now();
-            Self::scratch_key(&mut self.key_scratch, self.caps.is_some(), plan);
-            if let Some(latency_ms) = self.pred_cache.lookup(&self.key_scratch) {
-                self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
-                return OneshotRun { latency_ms, featurize_ns: 0, run_ns: 0, cache_hit: true };
-            }
+        let tc = std::time::Instant::now();
+        Self::scratch_key(&mut self.key_scratch, self.caps.is_some(), plan);
+        if let Some(latency_ms) = self.pred_cache.lookup(&self.key_scratch) {
+            self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
+            return OneshotRun { latency_ms, featurize_ns: 0, run_ns: 0, cache_hit: true };
         }
         let mut sc = std::mem::take(&mut self.oneshot);
 
@@ -772,19 +768,10 @@ impl<'m> ProgramBuilder<'m> {
         let run_ns = t1.elapsed().as_nanos() as u64;
 
         self.oneshot = sc;
-        if self.pred_cache_on {
-            // `key_scratch` still holds this plan's key from the missed
-            // probe above — nothing between there and here touches it.
-            self.pred_cache.insert(&self.key_scratch, latency_ms);
-        }
+        // `key_scratch` still holds this plan's key from the missed probe
+        // above — nothing between there and here touches it.
+        self.pred_cache.insert(&self.key_scratch, latency_ms);
         OneshotRun { latency_ms, featurize_ns, run_ns, cache_hit: false }
-    }
-
-    /// Enables or disables the whole-plan prediction memo (on by
-    /// default). Disabling stops probes and inserts without clearing the
-    /// memo, so re-enabling resumes with the entries already learned.
-    pub fn set_prediction_cache(&mut self, enabled: bool) {
-        self.pred_cache_on = enabled;
     }
 
     /// Caps the prediction memo's entry count (generational reset on
@@ -808,66 +795,6 @@ impl<'m> ProgramBuilder<'m> {
             key.push(kids.len() as u64);
             key.extend(kids.iter().map(|&c| c as u64));
         }
-    }
-
-    /// [`ProgramBuilder::scratch_key`] for an ordinary plan tree — the
-    /// resident/micro-batch surfaces hold trees, not scratch CSR. The two
-    /// encoders agree word for word on the same plan
-    /// (`whole_plan_key_agrees_across_encodings` pins it), so a memo
-    /// warmed by one surface serves the others.
-    fn tree_key(&mut self, root: &PlanNode) {
-        fn rec(
-            node: &PlanNode,
-            key: &mut Vec<u64>,
-            kid_stack: &mut Vec<u64>,
-            next: &mut u64,
-        ) -> u64 {
-            let mark = kid_stack.len();
-            for c in &node.children {
-                let pos = rec(c, key, kid_stack, next);
-                kid_stack.push(pos);
-            }
-            key.extend_from_slice(NodeContentKey::of(node).words());
-            key.push((kid_stack.len() - mark) as u64);
-            key.extend_from_slice(&kid_stack[mark..]);
-            kid_stack.truncate(mark);
-            let pos = *next;
-            *next += 1;
-            pos
-        }
-        self.key_scratch.clear();
-        self.key_scratch.push(self.caps.is_some() as u64);
-        self.key_scratch.push(0); // node count, patched below
-        let mut next = 0u64;
-        rec(root, &mut self.key_scratch, &mut Vec::new(), &mut next);
-        self.key_scratch[1] = next;
-    }
-
-    /// Memo probe for a tree-shaped predict request (the micro-batch
-    /// surface). Counts a hit or miss; `None` without counting when the
-    /// memo is disabled.
-    fn cache_probe_tree(&mut self, root: &PlanNode) -> Option<f64> {
-        if !self.pred_cache_on {
-            return None;
-        }
-        let tc = std::time::Instant::now();
-        self.tree_key(root);
-        let hit = self.pred_cache.lookup(&self.key_scratch);
-        if hit.is_some() {
-            self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
-        }
-        hit
-    }
-
-    /// Memoizes a freshly-computed tree prediction (no-op when the memo
-    /// is disabled). Re-assembles the key: between a batch's probes and
-    /// its inserts, other members' probes clobber `key_scratch`.
-    fn cache_insert_tree(&mut self, root: &PlanNode, latency_ms: f64) {
-        if !self.pred_cache_on {
-            return;
-        }
-        self.tree_key(root);
-        self.pred_cache.insert(&self.key_scratch, latency_ms);
     }
 
     /// Executes the resident program (rebuilding the level schedule if
@@ -1464,35 +1391,12 @@ impl<'m> ShardedStream<'m> {
         self.shards[shard].predict_oneshot(plan)
     }
 
-    /// Enables or disables every shard's whole-plan prediction memo (see
-    /// [`ProgramBuilder::set_prediction_cache`]).
-    pub fn set_prediction_cache(&mut self, enabled: bool) {
-        for s in &mut self.shards {
-            s.set_prediction_cache(enabled);
-        }
-    }
-
     /// Caps every shard's prediction-memo entry count (see
     /// [`PredictionCache`]).
     pub fn set_prediction_cache_capacity(&mut self, max_entries: usize) {
         for s in &mut self.shards {
             s.set_prediction_cache_capacity(max_entries);
         }
-    }
-
-    /// Memo probe for a tree-shaped predict request, routed to the same
-    /// content-hash shard [`ShardedStream::admit`] picks — so one
-    /// coherent per-shard memo is warmed by every surface.
-    fn cache_probe(&mut self, root: &PlanNode) -> Option<f64> {
-        let shard = (plan_shard_hash(root) % self.shards.len() as u64) as usize;
-        self.shards[shard].cache_probe_tree(root)
-    }
-
-    /// Memoizes a freshly-computed tree prediction on its content-hash
-    /// shard.
-    fn cache_insert(&mut self, root: &PlanNode, latency_ms: f64) {
-        let shard = (plan_shard_hash(root) % self.shards.len() as u64) as usize;
-        self.shards[shard].cache_insert_tree(root, latency_ms);
     }
 
     /// Per-operator predictions (post order, milliseconds) for one
@@ -1630,9 +1534,10 @@ pub struct MicroBatchStats {
     pub batches: u64,
     /// Predict requests absorbed across all flushes.
     pub requests: u64,
-    /// Requests answered from the whole-plan memo — admitted like every
-    /// other member (residency is unchanged) but excluded from the
-    /// wavefront run.
+    /// Always 0: a flush runs every member through the wavefront and
+    /// never probes the whole-plan memo (only
+    /// [`ShardedStream::predict_oneshot`] does). Kept so existing readers
+    /// of the field still compile.
     pub cache_hits: u64,
 }
 
@@ -1720,34 +1625,10 @@ impl<'p> MicroBatcher<'p> {
         }
         self.stats.batches += 1;
         self.stats.requests += self.pending.len() as u64;
-        // Admission is unchanged by the memo — resident bookkeeping (ids,
-        // routing, CSE rows) must be identical with the cache on or off.
-        // Only the wavefront run shrinks: members whose whole-plan key is
-        // memoized take their prediction from the memo and drop out of
-        // the coalesced run; the rest run and then seed the memo.
         let ids = stream.admit_batch(&self.pending, threads);
-        let mut preds: Vec<Option<f64>> =
-            self.pending.iter().map(|p| stream.cache_probe(p)).collect();
-        let miss_ids: Vec<PlanId> = ids
-            .iter()
-            .zip(&preds)
-            .filter(|(_, p)| p.is_none())
-            .map(|(&id, _)| id)
-            .collect();
-        self.stats.cache_hits += (ids.len() - miss_ids.len()) as u64;
-        if !miss_ids.is_empty() {
-            let fresh = stream.predict_batch_threaded(&miss_ids, threads);
-            let mut fresh = fresh.into_iter();
-            for (k, slot) in preds.iter_mut().enumerate() {
-                if slot.is_none() {
-                    let v = fresh.next().expect("one prediction per miss");
-                    stream.cache_insert(self.pending[k], v);
-                    *slot = Some(v);
-                }
-            }
-        }
+        let preds = stream.predict_batch_threaded(&ids, threads);
         self.pending.clear();
-        (ids, preds.into_iter().map(|p| p.expect("filled above")).collect())
+        (ids, preds)
     }
 
     /// Coalescing statistics across the batcher's lifetime.
@@ -2226,35 +2107,12 @@ mod tests {
     }
 
     #[test]
-    fn whole_plan_key_agrees_across_encodings() {
-        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
-        let caps = crate::tree::fit_ratio_caps(ds.plans.iter(), 2.0);
-        for caps in [None, Some(&caps)] {
-            let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, caps);
-            let mut sp = ScratchPlan::new();
-            for p in &ds.plans {
-                sp.rebuild_from_tree(&p.root);
-                let mut from_scratch = Vec::new();
-                ProgramBuilder::scratch_key(&mut from_scratch, builder.caps.is_some(), &sp);
-                builder.tree_key(&p.root);
-                assert_eq!(
-                    builder.key_scratch,
-                    from_scratch,
-                    "key encoder drift (caps={})",
-                    builder.caps.is_some()
-                );
-                assert_eq!(from_scratch[0], builder.caps.is_some() as u64);
-                assert_eq!(from_scratch[1], sp.len() as u64);
-            }
-        }
-    }
-
-    #[test]
     fn oneshot_memo_hit_matches_fresh_run_bitwise() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut cached = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        let mut uncached = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        uncached.set_prediction_cache(false);
+        // The resident path (admit → predict_root → retire) never probes
+        // the memo, so it is the fresh-run oracle.
+        let mut oracle = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         let mut sp = ScratchPlan::new();
         for p in &ds.plans {
             sp.rebuild_from_tree(&p.root);
@@ -2263,15 +2121,16 @@ mod tests {
             assert!(again.cache_hit, "an exact repeat must hit the memo");
             assert_eq!((again.featurize_ns, again.run_ns), (0, 0));
             assert_eq!(again.latency_ms.to_bits(), first.latency_ms.to_bits());
-            let fresh = uncached.predict_oneshot(&sp);
-            assert!(!fresh.cache_hit, "a disabled memo never reports hits");
-            assert_eq!(again.latency_ms.to_bits(), fresh.latency_ms.to_bits());
+            let id = oracle.admit(&p.root);
+            let fresh = oracle.predict_root(id);
+            oracle.retire(id);
+            assert_eq!(again.latency_ms.to_bits(), fresh.to_bits());
         }
         let st = cached.stats();
         assert!(st.pred_cache_hits >= ds.plans.len() as u64);
         assert!(st.pred_cache_entries > 0);
         assert!(st.pred_hit_rate() > 0.0);
-        let off = uncached.stats();
+        let off = oracle.stats();
         assert_eq!((off.pred_cache_hits, off.pred_cache_misses, off.pred_cache_entries), (0, 0, 0));
     }
 
@@ -2296,38 +2155,6 @@ mod tests {
         let st = builder.stats();
         assert!(st.pred_cache_evictions > 0, "the cap must have forced resets");
         assert_eq!((st.pred_cache_hits, st.pred_cache_misses), (0, 100));
-    }
-
-    #[test]
-    fn microbatcher_memo_hits_drop_out_of_the_run_bitwise() {
-        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
-        let mut cached = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let mut uncached = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        uncached.set_prediction_cache(false);
-        let mut front_c = MicroBatcher::new();
-        let mut front_u = MicroBatcher::new();
-        for _round in 0..3 {
-            for p in ds.plans.iter().take(6) {
-                front_c.submit(&p.root);
-                front_u.submit(&p.root);
-            }
-            // A duplicate *within* one batch: both members probe before
-            // either inserts, so the first round runs both (and the
-            // batch's bookkeeping stays identical either way).
-            front_c.submit(&ds.plans[0].root);
-            front_u.submit(&ds.plans[0].root);
-            let a = front_c.flush(&mut cached, 4);
-            let b = front_u.flush(&mut uncached, 4);
-            assert_eq!(bits(&a), bits(&b), "memoized flush drifted from uncached");
-        }
-        assert!(cached.is_empty() && uncached.is_empty());
-        assert!(
-            front_c.stats().cache_hits >= 14,
-            "rounds 2 and 3 must serve every member from the memo (got {})",
-            front_c.stats().cache_hits
-        );
-        assert_eq!(front_u.stats().cache_hits, 0);
-        assert_eq!(uncached.stats().pred_cache_misses, 0, "disabled memo never probes");
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! qpp train      --dataset dataset.json --epochs 100 --out model.json
 //! qpp evaluate   --dataset dataset.json --model model.json
 //! qpp predict    --dataset dataset.json --model model.json --query 3
-//! qpp predict    --input plans.json --model model.json --engine program
+//! qpp predict    --input plans.json --model model.json --repeat 10
 //! qpp explain    --dataset dataset.json --query 3
 //! qpp importance --dataset dataset.json --model model.json --top 15
-//! qpp serve      --model model.json --addr 127.0.0.1:7878 --shards 4 --burst 8
+//! qpp serve      --model model.json --addr 127.0.0.1:7878 --shards 4
 //! ```
+//!
+//! Each subcommand accepts exactly the flags it reads; any other flag is
+//! a usage error naming it (exit 2).
 //!
 //! `generate` writes an executed workload (plans with EXPLAIN-style
 //! estimates and simulated EXPLAIN ANALYZE actuals); `train` fits a QPPNet
@@ -20,14 +23,12 @@
 //!
 //! `predict` has three modes: `--query N` scores one plan with a
 //! per-operator breakdown; `--input plans.json` scores *every* plan
-//! of a (possibly heterogeneous) batch through the chosen inference
-//! engine — `program` (default) compiles the wavefront-batched
-//! [`qpp::net::PlanProgram`], `classes` uses per-equivalence-class
-//! evaluation — and reports throughput; `--input plans.json --stream W`
-//! replays the batch as a **live admission stream** through the sharded
-//! incremental path ([`qpp::net::ShardedStream`]): arrivals route by
-//! content hash to `--shards` per-shard builders (default: the first
-//! `--threads` entry), bursts of `--burst` concurrent requests coalesce
+//! of a (possibly heterogeneous) batch through the wavefront-batched
+//! [`qpp::net::PlanProgram`] and reports throughput; `--input plans.json
+//! --stream W` replays the batch as a **live admission stream** through
+//! the sharded incremental path ([`qpp::net::ShardedStream`]): arrivals
+//! route by content hash to `--shards` per-shard builders (default: the
+//! first `--threads` entry), bursts of `--burst` concurrent requests coalesce
 //! into one wavefront run via [`qpp::net::MicroBatcher`], and plans
 //! retire once a sliding window of `W` resident plans is exceeded
 //! (`--stream 0` never retires) — with per-shard
@@ -36,9 +37,9 @@
 //! reported at the end. `--threads` takes a comma list of worker counts
 //! (e.g. `--threads 1,2,4`; predictions use the first entry — thread
 //! count never changes them), and `--repeat N` (N > 1) prints one
-//! throughput table covering every engine × thread-count combination,
-//! including precompiled steady-state serving and incremental admission,
-//! so the README's scaling numbers reproduce with a single command.
+//! throughput table covering every thread count, including precompiled
+//! steady-state serving and incremental admission, so the README's
+//! scaling numbers reproduce with a single command.
 //!
 //! Extensions: `generate --max-mpl 8` produces a concurrent workload
 //! (§8 future work), `train --load-aware true` exposes the system load as
@@ -46,45 +47,53 @@
 //! worker pool. Training runs on the differentiable wavefront engine by
 //! default (one gemm per operator family per wavefront across the whole
 //! shuffled batch — see DESIGN.md §9) and prints the run's
-//! [`qpp::net::TrainStats`] line; `--train-engine classes` keeps the
-//! per-equivalence-class arrangement (the §5.1 ablation layout and the
-//! wavefront engine's differential oracle).
+//! [`qpp::net::TrainStats`] line.
 //!
 //! `serve` turns a fitted snapshot into a long-running prediction daemon
 //! ([`qpp::net::serve`]): resident [`qpp::net::ShardedStream`]s behind a
 //! JSON-lines wire protocol (admit / retire / predict / admit_predict /
-//! stats / shutdown) over TCP or `unix:` sockets, with `--burst W`
-//! micro-batch coalescing of concurrent one-shot predictions and
-//! multi-model tenancy via a comma-separated `--model` list. Drive it
-//! with the `serve_load` bench bin for saturation curves.
+//! stats / shutdown) over TCP or `unix:` sockets, with multi-model
+//! tenancy via a comma-separated `--model` list. `bash perfbench/run.sh`
+//! measures it under load.
 
-use qpp::net::config::TrainEngine;
 use qpp::net::{permutation_importance, InferEngine, QppConfig, QppNet};
 use qpp::plansim::features::Featurizer;
 use qpp::plansim::prelude::*;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+type Flags = HashMap<String, String>;
+type Handler = fn(&Flags) -> Result<(), String>;
+
+/// Every subcommand, the flags it reads, and its handler.
+const COMMANDS: &[(&str, &[&str], Handler)] = &[
+    ("generate", &["workload", "sf", "queries", "seed", "out", "max-mpl"], cmd_generate),
+    ("train", &["dataset", "out", "epochs", "batch", "seed", "threads", "load-aware"], cmd_train),
+    ("evaluate", &["dataset", "model", "seed"], cmd_evaluate),
+    (
+        "predict",
+        &[
+            "dataset", "model", "query", "input", "threads", "repeat", "stream", "shards", "burst",
+        ],
+        cmd_predict,
+    ),
+    ("explain", &["dataset", "query"], cmd_explain),
+    ("importance", &["dataset", "model", "seed", "top"], cmd_importance),
+    ("serve", &["model", "addr", "shards", "threads"], cmd_serve),
+    ("serve-stats", &["addr"], cmd_serve_stats),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         return usage("missing subcommand");
     };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => return usage(&e),
+    let Some(&(_, accepted, run)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return usage(&format!("unknown subcommand `{cmd}`"));
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "train" => cmd_train(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "predict" => cmd_predict(&flags),
-        "explain" => cmd_explain(&flags),
-        "importance" => cmd_importance(&flags),
-        "serve" => cmd_serve(&flags),
-        "serve-stats" => cmd_serve_stats(&flags),
-        other => Err(format!("unknown subcommand `{other}`")),
-    };
+    let result = parse_flags(rest, accepted)
+        .map_err(|e| format!("qpp {cmd}: {e}"))
+        .and_then(|flags| run(&flags));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => usage(&e),
@@ -97,29 +106,31 @@ fn usage(error: &str) -> ExitCode {
         "usage:\n\
          qpp generate   --workload tpch|tpcds --sf F --queries N --seed N --out FILE [--max-mpl N]\n\
          qpp train      --dataset FILE --out FILE [--epochs N] [--batch N] [--seed N]\n\
-                        [--threads N] [--train-engine classes|program] [--load-aware true]\n\
+                        [--threads N] [--load-aware true]\n\
          qpp evaluate   --dataset FILE --model FILE [--seed N]\n\
          qpp predict    --dataset FILE --model FILE --query N\n\
-         qpp predict    --input FILE --model FILE [--engine classes|program]\n\
-                        [--threads N[,N...]] [--repeat N] [--stream WINDOW]\n\
-                        [--shards N] [--burst N]\n\
+         qpp predict    --input FILE --model FILE [--threads N[,N...]] [--repeat N]\n\
+                        [--stream WINDOW] [--shards N] [--burst N]\n\
          qpp explain    --dataset FILE --query N\n\
          qpp importance --dataset FILE --model FILE [--seed N] [--top N]\n\
          qpp serve      --model FILE[,FILE...] [--addr HOST:PORT|unix:PATH]\n\
-                        [--shards N] [--burst W] [--threads N] [--burst-wait-us U]\n\
-                        [--fast-path 0|1] [--cache 0|1]\n\
+                        [--shards N] [--threads N]\n\
          qpp serve-stats [--addr HOST:PORT|unix:PATH]"
     );
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--key value` pairs, rejecting any key not in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got `{}`", args[i]))?;
+        if !accepted.contains(&key) {
+            return Err(format!("unknown flag `--{key}` (accepted: --{})", accepted.join(", --")));
+        }
         let value = args.get(i + 1).ok_or_else(|| format!("--{key} needs a value"))?;
         flags.insert(key.to_string(), value.clone());
         i += 2;
@@ -127,11 +138,11 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
-fn get<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
+fn get<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
     flags.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
 }
 
-fn get_or<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
+fn get_or<'a>(flags: &'a Flags, key: &str, default: &'a str) -> &'a str {
     flags.get(key).map(String::as_str).unwrap_or(default)
 }
 
@@ -139,19 +150,19 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: `{s}`"))
 }
 
-fn load_dataset(flags: &HashMap<String, String>) -> Result<Dataset, String> {
+fn load_dataset(flags: &Flags) -> Result<Dataset, String> {
     let path = get(flags, "dataset")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn load_model(flags: &HashMap<String, String>) -> Result<QppNet, String> {
+fn load_model(flags: &Flags) -> Result<QppNet, String> {
     let path = get(flags, "model")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     QppNet::from_json(&json).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let workload = match get_or(flags, "workload", "tpch") {
         "tpch" => Workload::TpcH,
         "tpcds" => Workload::TpcDs,
@@ -180,7 +191,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_train(flags: &Flags) -> Result<(), String> {
     let ds = load_dataset(flags)?;
     let out = get(flags, "out")?;
     let seed: u64 = parse(get_or(flags, "seed", "42"), "seed")?;
@@ -188,8 +199,6 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     config.epochs = parse(get_or(flags, "epochs", "100"), "epochs")?;
     config.batch_size = parse(get_or(flags, "batch", "256"), "batch size")?;
     config.threads = parse(get_or(flags, "threads", "1"), "thread count")?;
-    config.train_engine = TrainEngine::parse(get_or(flags, "train-engine", "program"))
-        .ok_or_else(|| "invalid --train-engine (classes|program)".to_string())?;
     let load_aware: bool = parse(get_or(flags, "load-aware", "false"), "load-aware flag")?;
 
     let split = ds.paper_split(seed);
@@ -227,7 +236,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let ds = load_dataset(flags)?;
     let model = load_model(flags)?;
     let seed: u64 = parse(get_or(flags, "seed", "42"), "seed")?;
@@ -307,7 +316,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_predict(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("input") {
         return cmd_predict_batch(flags);
     }
@@ -338,8 +347,8 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `predict --input plans.json`: score a whole (heterogeneous) plan batch
-/// through the chosen inference engine and report throughput.
-fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
+/// through the wavefront program engine and report throughput.
+fn cmd_predict_batch(flags: &Flags) -> Result<(), String> {
     let path = get(flags, "input")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let ds: Dataset = serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -347,9 +356,6 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!("{path} contains no plans"));
     }
     let model = load_model(flags)?;
-    let engine_flag = flags.get("engine").map(String::as_str);
-    let engine = InferEngine::parse(engine_flag.unwrap_or("program"))
-        .ok_or_else(|| "invalid --engine (classes|program)".to_string())?;
     let threads: Vec<usize> = get_or(flags, "threads", "1")
         .split(',')
         .map(|t| parse::<usize>(t, "thread count").and_then(|n| {
@@ -358,10 +364,10 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let repeat: usize = parse(get_or(flags, "repeat", "1"), "repeat count")?;
     let repeat = repeat.max(1);
-    // Predictions are printed once, from the requested engine at the first
-    // thread count — by the engine's determinism contract every other row
-    // of the throughput table produces the same numbers.
-    let engine = engine.with_threads(threads[0]);
+    // Predictions are printed once, at the first thread count — by the
+    // engine's determinism contract every other row of the throughput
+    // table produces the same numbers.
+    let engine = InferEngine::Program { threads: threads[0] };
 
     // Structural validation up front: the input is user-supplied JSON, and
     // a malformed tree (wrong child count for an operator family) should
@@ -384,9 +390,6 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if let Some(w) = flags.get("stream") {
-        if engine_flag == Some("classes") {
-            return Err("--stream uses the incremental program engine; drop --engine classes".into());
-        }
         let window: usize = parse(w, "stream window")?;
         let shards: usize = parse(get_or(flags, "shards", &threads[0].to_string()), "shard count")?;
         if shards == 0 {
@@ -443,10 +446,9 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    // `--repeat N` (N > 1): one table covering every engine × thread-count
-    // combination (plus precompiled steady-state serving), so scaling
-    // numbers reproduce with a single command. An explicit --engine flag
-    // restricts the table to that engine.
+    // `--repeat N` (N > 1): one table covering every thread count (plus
+    // precompiled steady-state serving and incremental admission), so
+    // scaling numbers reproduce with a single command.
     eprintln!(
         "\nthroughput, mean over {repeat} runs ({} plans, {} distinct shapes, {} kernels):",
         plans.len(),
@@ -466,47 +468,38 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
             base / secs
         );
     };
-    let only = engine_flag.map(|_| engine.name());
-    if only.is_none() || only == Some("classes") {
+    for &t in &threads {
         let secs = time(&mut || {
-            let _ = model.predict_batch_with(&plans, InferEngine::Classes);
+            let _ = model.predict_batch_with(&plans, InferEngine::Program { threads: t });
         });
-        report("classes", 1, secs);
+        report("program", t, secs);
     }
-    if only.is_none() || only == Some("program") {
-        for &t in &threads {
-            let secs = time(&mut || {
-                let _ = model.predict_batch_with(&plans, InferEngine::Program { threads: t });
-            });
-            report("program", t, secs);
-        }
-        let mut compiled = model.compile_program(&plans);
-        for &t in &threads {
-            let secs = time(&mut || {
-                let _ = model.predict_compiled_with(&mut compiled, t);
-            });
-            report("program precompiled", t, secs);
-        }
-        // Incremental admission churn: admit the whole batch into a
-        // persistent streaming session, score it, retire it. Later
-        // repeats run against a warm feature cache — exactly a live
-        // stream's steady state.
-        let mut stream = model.serve_stream();
-        let mut ids = Vec::with_capacity(plans.len());
-        for &t in &threads {
-            let secs = time(&mut || {
-                for plan in &plans {
-                    ids.push(stream.admit(&plan.root));
-                }
-                let _ = stream.predict_roots_threaded(t);
-                for id in ids.drain(..) {
-                    stream.retire(id);
-                }
-            });
-            report("program incremental", t, secs);
-        }
-        eprintln!("\nstream stats after churn: {}", stream.stats());
+    let mut compiled = model.compile_program(&plans);
+    for &t in &threads {
+        let secs = time(&mut || {
+            let _ = model.predict_compiled_with(&mut compiled, t);
+        });
+        report("program precompiled", t, secs);
     }
+    // Incremental admission churn: admit the whole batch into a
+    // persistent streaming session, score it, retire it. Later repeats
+    // run against a warm feature cache — exactly a live stream's steady
+    // state.
+    let mut stream = model.serve_stream();
+    let mut ids = Vec::with_capacity(plans.len());
+    for &t in &threads {
+        let secs = time(&mut || {
+            for plan in &plans {
+                ids.push(stream.admit(&plan.root));
+            }
+            let _ = stream.predict_roots_threaded(t);
+            for id in ids.drain(..) {
+                stream.retire(id);
+            }
+        });
+        report("program incremental", t, secs);
+    }
+    eprintln!("\nstream stats after churn: {}", stream.stats());
     Ok(())
 }
 
@@ -600,7 +593,7 @@ fn cmd_predict_stream(
     Ok(())
 }
 
-fn cmd_importance(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_importance(flags: &Flags) -> Result<(), String> {
     let ds = load_dataset(flags)?;
     let model = load_model(flags)?;
     let seed: u64 = parse(get_or(flags, "seed", "42"), "seed")?;
@@ -618,7 +611,7 @@ fn cmd_importance(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_explain(flags: &Flags) -> Result<(), String> {
     let ds = load_dataset(flags)?;
     let q: usize = parse(get(flags, "query")?, "query index")?;
     let plan = ds.plans.get(q).ok_or_else(|| format!("query {q} out of range"))?;
@@ -628,34 +621,17 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use qpp::net::serve::{ServeAddr, ServeConfig, Server};
 
     let addr = ServeAddr::parse(get_or(flags, "addr", "127.0.0.1:7878"))?;
-    let env_default = ServeConfig::default();
     let cfg = ServeConfig {
         shards: parse(get_or(flags, "shards", "1"), "shard count")?,
         threads: parse(get_or(flags, "threads", "1"), "thread count")?,
-        burst: parse(get_or(flags, "burst", "1"), "burst width")?,
-        burst_wait_us: parse(get_or(flags, "burst-wait-us", "200"), "burst wait")?,
-        // --fast-path overrides the QPP_SERVE_FAST_PATH env default.
-        fast_path: match flags.get("fast-path").map(String::as_str) {
-            None => env_default.fast_path,
-            Some("0") => false,
-            Some("1") => true,
-            Some(other) => return Err(format!("invalid --fast-path: `{other}` (want 0|1)")),
-        },
-        // --cache overrides the QPP_SERVE_CACHE env default.
-        cache: match flags.get("cache").map(String::as_str) {
-            None => env_default.cache,
-            Some("0") => false,
-            Some("1") => true,
-            Some(other) => return Err(format!("invalid --cache: `{other}` (want 0|1)")),
-        },
-        ..env_default
+        ..ServeConfig::default()
     };
-    if cfg.shards == 0 || cfg.threads == 0 || cfg.burst == 0 {
-        return Err("--shards/--threads/--burst must be >= 1".into());
+    if cfg.shards == 0 || cfg.threads == 0 {
+        return Err("--shards/--threads must be >= 1".into());
     }
 
     // One or more fitted model snapshots; the first is the default
@@ -677,24 +653,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("tenant {fp:016x} <- {path}");
     }
     println!(
-        "qpp serve: listening on {} ({} shards, {} threads, burst {})",
+        "qpp serve: listening on {} ({} shards, {} threads)",
         server.local_addr(),
         cfg.shards,
-        cfg.threads,
-        cfg.burst
+        cfg.threads
     );
-    println!(
-        "kernel tier: {}; fast path: {}; prediction cache: {}",
-        qpp::nn::KernelTier::current(),
-        if cfg.fast_path && cfg.burst <= 1 {
-            "on (zero-allocation one-shot predicts)"
-        } else if cfg.fast_path {
-            "off (burst coalescing takes precedence)"
-        } else {
-            "off"
-        },
-        if cfg.cache { "on (whole-plan memo)" } else { "off" }
-    );
+    println!("kernel tier: {}", qpp::nn::KernelTier::current());
     println!("protocol: one JSON object per line; send {{\"v\":1,\"op\":\"shutdown\"}} to stop");
     server.run().map_err(|e| format!("serve loop failed: {e}"))
 }
@@ -702,7 +666,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Connects to a running daemon, fetches the `stats` verb, and renders
 /// the counters — including the fast path's per-phase latency breakdown
 /// and the steady-state allocation counter.
-fn cmd_serve_stats(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve_stats(flags: &Flags) -> Result<(), String> {
     use qpp::net::serve::{Client, ServeAddr};
 
     let addr = ServeAddr::parse(get_or(flags, "addr", "127.0.0.1:7878"))?;
@@ -713,10 +677,7 @@ fn cmd_serve_stats(flags: &HashMap<String, String>) -> Result<(), String> {
     let s = client.stats().map_err(|e| format!("stats request failed: {e}"))?;
 
     println!("server:   {} connections, {} requests, {} errors", s.connections, s.requests, s.errors);
-    println!(
-        "plans:    {} admitted, {} retired, {} predicted ({} batches / {} batched requests)",
-        s.admitted, s.retired, s.predicted, s.batches, s.batched_requests
-    );
+    println!("plans:    {} admitted, {} retired, {} predicted", s.admitted, s.retired, s.predicted);
     println!(
         "resident: {} tenants, {} plans, {} logical nodes, {} shared rows",
         s.tenants, s.resident_plans, s.logical_nodes, s.shared_rows

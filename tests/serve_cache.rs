@@ -1,16 +1,18 @@
 //! Differential tests for the whole-plan prediction memo
-//! (`qppnet::stream::PredictionCache`): a cache-on daemon must emit
-//! reply lines **byte-identical** to a cache-off daemon for the same
-//! request stream — random admit / retire / predict / admit_predict
-//! interleavings, at 1 and 4 wavefront threads, over TCP loopback and
-//! unix sockets, single- and multi-tenant, clamped and unclamped.
+//! (`qppnet::stream::PredictionCache`): the daemon, whose one-shot
+//! predictions consult the memo, must emit reply lines
+//! **byte-identical** to an in-process oracle that never probes it —
+//! one `ProgramBuilder` per tenant replaying the same random admit /
+//! retire / predict / admit_predict interleaving, with every one-shot
+//! served as admit → predict_root → retire — at 1 and 4 wavefront
+//! threads, 1 to 3 shards, over TCP loopback and unix sockets, single-
+//! and multi-tenant, clamped and unclamped.
 //!
 //! Why byte-equality is the right bar: a memo hit replays an `f64`
 //! produced by a bitwise-identical earlier run, and the wire encoder
 //! prints shortest-round-trip `f64`s — so any divergence at all means
 //! the memo returned a value a fresh run would not have produced
-//! (a false positive, a stale entry surviving fingerprint rotation, or
-//! id-allocation drift from the cache changing admission bookkeeping).
+//! (a false positive, or a stale entry leaking across tenants).
 //!
 //! Also here: the eviction-cap bound (a never-repeating plan stream
 //! cannot grow the memo past its entry cap) and the zero-allocation
@@ -27,7 +29,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use qpp::net::serve::proto::{self, Request, Response};
 use qpp::net::serve::{Client, ServeAddr, ServeConfig, Server};
-use qpp::net::{QppConfig, QppNet, ScratchPlan};
+use qpp::net::{PlanId, ProgramBuilder, QppConfig, QppNet, ScratchPlan};
 use qpp::plansim::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -89,174 +91,163 @@ impl RawClient {
     }
 }
 
-/// Wire id carried by an `admitted` or kept-`predicted` reply, if any.
-fn reply_id(reply: &str) -> Option<u64> {
-    match proto::decode_response(reply.trim_end()) {
-        Ok(Response::Admitted { id }) => Some(id),
-        Ok(Response::Predicted { id, .. }) => id,
-        _ => None,
+/// The reply line the daemon must send for `resp`.
+fn wire(resp: &Response) -> String {
+    proto::encode_response(resp) + "\n"
+}
+
+/// The in-process oracle: one sequential builder per tenant, the wire
+/// ids the daemon allocates (1, 2, ... across all tenants) and the
+/// residency map. It never touches the prediction memo.
+struct Oracle<'m> {
+    builders: Vec<(u64, ProgramBuilder<'m>)>,
+    resident: Vec<(u64, u64, PlanId)>,
+    next_id: u64,
+}
+
+impl<'m> Oracle<'m> {
+    fn builder(&mut self, fp: u64) -> &mut ProgramBuilder<'m> {
+        &mut self.builders.iter_mut().find(|(f, _)| *f == fp).expect("registered tenant").1
+    }
+
+    fn admit(&mut self, fp: u64, plan: &PlanNode) -> (u64, PlanId) {
+        let pid = self.builder(fp).admit(plan);
+        let id = self.next_id;
+        self.next_id += 1;
+        self.resident.push((id, fp, pid));
+        (id, pid)
+    }
+
+    fn oneshot(&mut self, fp: u64, plan: &PlanNode) -> f64 {
+        let b = self.builder(fp);
+        let pid = b.admit(plan);
+        let latency_ms = b.predict_root(pid);
+        b.retire(pid);
+        latency_ms
     }
 }
 
-/// One leg: drives `lines` (or, when `lines` is `None`, a seeded random
-/// interleaving whose id-carrying ops are resolved against live
-/// replies) through a fresh daemon. Returns the request lines sent, the
-/// reply lines received, and the daemon's final stats.
-fn run_leg(
+/// One leg: drives a seeded random interleaving through a fresh daemon
+/// and asserts every reply line equals the oracle's, byte for byte.
+/// Returns the daemon's final stats.
+fn replies_match_oracle(
     addr: &ServeAddr,
     cfg: ServeConfig,
     multi_tenant: bool,
     seed: u64,
     ops: usize,
-    lines: Option<&[String]>,
-) -> (Vec<String>, Vec<String>, proto::ServeStats) {
+) -> proto::ServeStats {
     let (ds, clamped_model, unclamped_model) = fixture();
     let mut server = Server::bind(addr, cfg).expect("bind");
     let fp_a = server.register(clamped_model);
     let fp_b = multi_tenant.then(|| server.register(unclamped_model));
     let addr = server.local_addr().clone();
+    let mut oracle = Oracle {
+        builders: vec![(fp_a, clamped_model.serve_stream())],
+        resident: Vec::new(),
+        next_id: 1,
+    };
+    if let Some(fp_b) = fp_b {
+        oracle.builders.push((fp_b, unclamped_model.serve_stream()));
+    }
 
     std::thread::scope(|scope| {
         let server = &server;
         scope.spawn(move || server.run().expect("server run"));
-
-        let mut raw = RawClient::connect(&addr);
-        let mut requests: Vec<String> = Vec::new();
-        let mut replies: Vec<String> = Vec::new();
-
-        if let Some(lines) = lines {
-            // Replay leg: the exact byte stream the first leg sent.
-            for line in lines {
-                replies.push(raw.roundtrip(line));
-                requests.push(line.clone());
-            }
-        } else {
-            // Generator leg: a seeded interleaving over a small plan
-            // pool (repeats are the point — they are what the memo
-            // serves). Wire ids for retire/predict come from live
-            // replies; both daemons allocate ids in sequence, so the
-            // replay leg sees the same ids if and only if the memo
-            // leaves admission bookkeeping untouched.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xCACE);
-            let mut resident: Vec<u64> = Vec::new();
-            let pool = 6usize.min(ds.plans.len());
-            let mut send = |line: String,
-                            requests: &mut Vec<String>,
-                            replies: &mut Vec<String>|
-             -> String {
-                let reply = raw.roundtrip(&line);
-                requests.push(line);
-                replies.push(reply.clone());
-                reply
+        // A failed check must stop the daemon, or the scope never joins.
+        let drive = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut raw = RawClient::connect(&addr);
+            let mut check = |req: &Request, expected: Response| {
+                let line = proto::encode_request(req);
+                assert_eq!(raw.roundtrip(&line), wire(&expected), "seed={seed}: request {line}");
             };
+            // A seeded interleaving over a small plan pool: repeats are the
+            // point — they are what the memo serves.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xCACE);
+            let pool = 6usize.min(ds.plans.len());
             for _ in 0..ops {
-                let pick = rng.gen_range(0..pool);
-                let plan = Box::new(ds.plans[pick].root.clone());
+                let root = &ds.plans[rng.gen_range(0..pool)].root;
+                let plan = Box::new(root.clone());
                 let tenant = match (multi_tenant, rng.gen_range(0..3u32)) {
                     (true, 0) => Some(fp_a),
                     (true, 1) => fp_b,
                     _ => None,
                 };
+                let fp = tenant.unwrap_or(fp_a);
                 match rng.gen_range(0..8u32) {
                     // Admit into residency (repeats allowed — CSE-heavy).
                     0 | 1 => {
-                        let line = proto::encode_request(&Request::Admit { plan, tenant });
-                        let reply = send(line, &mut requests, &mut replies);
-                        resident.push(reply_id(&reply).expect("admit reply id"));
+                        let (id, _) = oracle.admit(fp, root);
+                        check(&Request::Admit { plan, tenant }, Response::Admitted { id });
                     }
                     // Retire a random resident plan.
-                    2 if !resident.is_empty() => {
-                        let victim = resident.remove(rng.gen_range(0..resident.len()));
-                        let line = proto::encode_request(&Request::Retire { id: victim });
-                        send(line, &mut requests, &mut replies);
+                    2 if !oracle.resident.is_empty() => {
+                        let k = rng.gen_range(0..oracle.resident.len());
+                        let (id, fp, pid) = oracle.resident.remove(k);
+                        oracle.builder(fp).retire(pid);
+                        check(&Request::Retire { id }, Response::Retired { id });
                     }
                     // Predict a random resident plan.
-                    3 if !resident.is_empty() => {
-                        let id = resident[rng.gen_range(0..resident.len())];
-                        let line = proto::encode_request(&Request::Predict { id });
-                        send(line, &mut requests, &mut replies);
+                    3 if !oracle.resident.is_empty() => {
+                        let k = rng.gen_range(0..oracle.resident.len());
+                        let (id, fp, pid) = oracle.resident[k];
+                        let latency_ms = oracle.builder(fp).predict_root(pid);
+                        let want = Response::Predicted { id: Some(id), latency_ms };
+                        check(&Request::Predict { id }, want);
                     }
-                    // Kept one-shot: admits residency, reply carries id.
+                    // Kept admit_predict: admits residency, reply carries id.
                     7 => {
-                        let line = proto::encode_request(&Request::AdmitPredict {
-                            plan,
-                            keep: true,
-                            tenant,
-                        });
-                        let reply = send(line, &mut requests, &mut replies);
-                        resident.push(reply_id(&reply).expect("kept one-shot id"));
+                        let (id, pid) = oracle.admit(fp, root);
+                        let latency_ms = oracle.builder(fp).predict_root(pid);
+                        check(
+                            &Request::AdmitPredict { plan, keep: true, tenant },
+                            Response::Predicted { id: Some(id), latency_ms },
+                        );
                     }
-                    // One-shot admit_predict — the memo's main surface.
+                    // One-shot admit_predict — the memo's surface.
                     _ => {
-                        let line = proto::encode_request(&Request::AdmitPredict {
-                            plan,
-                            keep: false,
-                            tenant,
-                        });
-                        send(line, &mut requests, &mut replies);
+                        let latency_ms = oracle.oneshot(fp, root);
+                        check(
+                            &Request::AdmitPredict { plan, keep: false, tenant },
+                            Response::Predicted { id: None, latency_ms },
+                        );
                     }
                 }
             }
-            // Deterministic tail: each of three plans twice, so the
-            // cache-on leg is guaranteed live memo hits regardless of
-            // how the random phase went.
+            // Deterministic tail: each of three plans twice, so the daemon is
+            // guaranteed live memo hits regardless of how the random phase
+            // went.
             for pick in 0..3usize.min(ds.plans.len()) {
+                let root = &ds.plans[pick].root;
                 for _ in 0..2 {
-                    let line = proto::encode_request(&Request::AdmitPredict {
-                        plan: Box::new(ds.plans[pick].root.clone()),
-                        keep: false,
-                        tenant: multi_tenant.then_some(fp_a),
-                    });
-                    send(line, &mut requests, &mut replies);
+                    let latency_ms = oracle.oneshot(fp_a, root);
+                    check(
+                        &Request::AdmitPredict {
+                            plan: Box::new(root.clone()),
+                            keep: false,
+                            tenant: multi_tenant.then_some(fp_a),
+                        },
+                        Response::Predicted { id: None, latency_ms },
+                    );
                 }
             }
-        }
 
-        let mut ctl = Client::connect(&addr).expect("control");
-        let stats = match ctl.call(&Request::Stats).expect("stats") {
-            Response::Stats(s) => s,
-            other => panic!("wrong stats reply: {other:?}"),
-        };
-        ctl.shutdown().expect("shutdown");
-        (requests, replies, stats)
+            let mut ctl = Client::connect(&addr).expect("control");
+            let stats = ctl.stats().expect("stats");
+            ctl.shutdown().expect("shutdown");
+            assert!(
+                stats.cache_hits >= 3,
+                "seed={seed}: the deterministic tail guarantees memo hits, saw {}",
+                stats.cache_hits
+            );
+            assert!(stats.cache_misses > 0, "seed={seed}: first appearances must miss");
+            stats
+        }));
+        drive.unwrap_or_else(|panic| {
+            server.request_shutdown();
+            std::panic::resume_unwind(panic)
+        })
     })
-}
-
-/// The differential itself: generate the interleaving against a
-/// cache-on daemon, replay the identical byte stream against a
-/// cache-off daemon, and demand byte-identical replies — plus memo
-/// counters that move only on the cache-on side.
-fn cache_on_replies_match_cache_off(
-    mk_addr: &dyn Fn() -> ServeAddr,
-    base: &ServeConfig,
-    multi_tenant: bool,
-    seed: u64,
-    ops: usize,
-) {
-    let on_cfg = ServeConfig { cache: true, ..base.clone() };
-    let (requests, on_replies, on_stats) =
-        run_leg(&mk_addr(), on_cfg, multi_tenant, seed, ops, None);
-    let off_cfg = ServeConfig { cache: false, ..base.clone() };
-    let (_, off_replies, off_stats) =
-        run_leg(&mk_addr(), off_cfg, multi_tenant, seed, ops, Some(&requests));
-
-    assert_eq!(on_replies.len(), off_replies.len());
-    for (i, (on, off)) in on_replies.iter().zip(&off_replies).enumerate() {
-        assert_eq!(
-            on, off,
-            "seed={seed}: reply {i} diverged under the memo for request {}",
-            requests[i]
-        );
-    }
-    assert!(
-        on_stats.cache_hits >= 3,
-        "seed={seed}: the deterministic tail guarantees memo hits, saw {}",
-        on_stats.cache_hits
-    );
-    assert!(on_stats.cache_misses > 0, "seed={seed}: first appearances must miss");
-    assert_eq!(off_stats.cache_hits, 0, "disabled memo must not count hits");
-    assert_eq!(off_stats.cache_misses, 0, "disabled memo must not count misses");
-    assert_eq!(off_stats.cache_entries, 0, "disabled memo must not grow");
 }
 
 fn tcp() -> ServeAddr {
@@ -272,53 +263,39 @@ proptest! {
     #[test]
     fn random_interleavings_are_memo_transparent(seed in any::<u64>()) {
         let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
-        cache_on_replies_match_cache_off(&tcp, &cfg, false, seed, 28);
+        replies_match_oracle(&tcp(), cfg, false, seed, 28);
     }
 }
 
 /// 4 wavefront threads + 3 shards: the sharded surface routes probes
-/// and inserts per shard; replies must still match cache-off exactly.
+/// and inserts per shard; replies must still match the oracle exactly.
 #[test]
 fn t4_sharded_replies_are_memo_transparent() {
     for seed in [11u64, 12] {
         let cfg = ServeConfig { threads: 4, shards: 3, ..ServeConfig::default() };
-        cache_on_replies_match_cache_off(&tcp, &cfg, false, seed, 30);
+        replies_match_oracle(&tcp(), cfg, false, seed, 30);
     }
-}
-
-/// Burst coalescing: with `burst > 1` one-shots flow through the
-/// micro-batcher, where memo hits drop out of the wavefront run before
-/// it happens — the surviving run's bits must be unaffected.
-#[test]
-fn coalesced_batches_are_memo_transparent() {
-    let cfg = ServeConfig { burst: 4, burst_wait_us: 500, ..ServeConfig::default() };
-    cache_on_replies_match_cache_off(&tcp, &cfg, false, 21, 30);
 }
 
 #[cfg(unix)]
 #[test]
 fn unix_socket_replies_are_memo_transparent() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    static N: AtomicU32 = AtomicU32::new(0);
-    let mk = || {
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        ServeAddr::Unix(
-            std::env::temp_dir().join(format!("qpp_serve_cache_{}_{n}.sock", std::process::id())),
-        )
-    };
+    let addr = ServeAddr::Unix(
+        std::env::temp_dir().join(format!("qpp_serve_cache_{}.sock", std::process::id())),
+    );
     let cfg = ServeConfig { threads: 4, shards: 2, ..ServeConfig::default() };
-    cache_on_replies_match_cache_off(&mk, &cfg, false, 31, 30);
+    replies_match_oracle(&addr, cfg, false, 31, 30);
 }
 
 /// Multi-tenant: two co-hosted models, requests routed by fingerprint
 /// (and by default-tenant fallback). Each tenant's stream owns its own
 /// memo keyed under that model's checkpoint fingerprint, so hits can
-/// never leak predictions across tenants — byte-equality against the
-/// cache-off daemon proves it.
+/// never leak predictions across tenants — byte-equality against each
+/// tenant's own oracle builder proves it.
 #[test]
 fn multi_tenant_replies_are_memo_transparent() {
     for seed in [41u64, 42] {
-        cache_on_replies_match_cache_off(&tcp, &ServeConfig::default(), true, seed, 30);
+        replies_match_oracle(&tcp(), ServeConfig::default(), true, seed, 30);
     }
 }
 
@@ -353,16 +330,15 @@ fn never_repeating_stream_cannot_grow_memo_past_cap() {
 }
 
 /// The zero-allocation regression, extended to the memo hit path: a
-/// warmed connection cycling a fixed 8-plan mix with fast path AND
-/// memo forced on must stay at zero steady-state allocations — and the
+/// warmed connection cycling a fixed 8-plan mix must stay at zero
+/// steady-state allocations — and the
 /// stats must show the memo actually served hits, so the alloc-free
 /// claim covers the hit path itself, not just warmed misses.
 #[test]
 fn steady_state_memo_hit_path_is_allocation_free() {
     let (ds, model, _) = fixture();
     for (threads, conns) in [(1usize, 1usize), (4, 4)] {
-        let cfg =
-            ServeConfig { threads, fast_path: true, cache: true, ..ServeConfig::default() };
+        let cfg = ServeConfig { threads, ..ServeConfig::default() };
         let mut server = Server::bind(&tcp(), cfg).expect("bind");
         server.register(model);
         let addr = server.local_addr().clone();

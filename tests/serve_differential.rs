@@ -10,8 +10,8 @@
 //! and the vendored JSON formatter prints non-integral `f64`s with
 //! Rust's shortest-round-trip `Display`, which parses back to the exact
 //! bits. So the only thing this suite can catch — and the thing it is
-//! for — is the daemon layer itself (session maps, tenant routing,
-//! micro-batch coalescing) corrupting results.
+//! for — is the daemon layer itself (session maps, tenant routing, the
+//! one-shot path and its memo) corrupting results.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -143,21 +143,6 @@ fn tcp_served_bits_match_inprocess_t1() {
     }
 }
 
-/// The fast-path toggle is bit-transparent: the same interleavings with
-/// the zero-allocation fast path forced on and forced off (overriding
-/// whatever `QPP_SERVE_FAST_PATH` says) must both match the in-process
-/// builder bit-for-bit.
-#[test]
-fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
-    for fast_path in [true, false] {
-        for clamped in [false, true] {
-            let cfg = ServeConfig { threads: 1, fast_path, ..ServeConfig::default() };
-            let addr = ServeAddr::parse("127.0.0.1:0").unwrap();
-            served_bits_match_inprocess(&addr, cfg, clamped, 7, 30);
-        }
-    }
-}
-
 #[test]
 fn tcp_served_bits_match_inprocess_t4_sharded() {
     // 4 wavefront threads + 3 shards: the full concurrent configuration
@@ -223,15 +208,14 @@ fn multi_tenant_served_bits_match_each_model() {
     });
 }
 
-/// Concurrent clients under burst coalescing: 4 threads fire one-shot
-/// predictions simultaneously with burst=4, so requests genuinely
-/// coalesce into micro-batched flushes. Coalescing is accuracy-free, so
-/// every reply must carry the same bits as serving that plan alone.
+/// Concurrent clients: 4 threads fire one-shot predictions
+/// simultaneously against one shared tenant stream (and its memo).
+/// Every reply must carry the same bits as serving that plan alone.
 #[test]
-fn concurrent_burst_coalescing_is_bit_transparent() {
+fn concurrent_oneshot_clients_are_bit_transparent() {
     let (ds, model, _) = fixture();
-    let cfg = ServeConfig { burst: 4, burst_wait_us: 2_000, ..ServeConfig::default() };
-    let mut server = Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), cfg).expect("bind");
+    let mut server = Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), ServeConfig::default())
+        .expect("bind");
     server.register(model);
     let addr = server.local_addr().clone();
 
@@ -260,7 +244,7 @@ fn concurrent_burst_coalescing_is_bit_transparent() {
                             let idx = w * 2 + k;
                             let (_, served) = client
                                 .admit_predict(&fixture().0.plans[idx].root, false)
-                                .expect("burst predict");
+                                .expect("concurrent predict");
                             got.push((idx, round, served.to_bits()));
                         }
                     }
@@ -273,21 +257,16 @@ fn concurrent_burst_coalescing_is_bit_transparent() {
             for (idx, round, bits) in h.join().expect("worker") {
                 assert_eq!(
                     bits, reference[idx],
-                    "plan {idx} round {round}: coalesced bits diverged from solo serving"
+                    "plan {idx} round {round}: concurrent bits diverged from solo serving"
                 );
             }
         }
 
         let mut ctl = Client::connect(&addr).expect("control");
         let stats = ctl.stats().expect("stats");
-        assert_eq!(stats.batched_requests, 24, "every one-shot goes through the batcher");
-        assert!(
-            stats.batches < stats.batched_requests,
-            "4 concurrent workers with burst=4 must coalesce at least once \
-             ({} batches for {} requests)",
-            stats.batches,
-            stats.batched_requests
-        );
+        assert_eq!(stats.fast_path_predicted, 24, "every one-shot takes the fast path");
+        // Workers send disjoint plans: one miss per plan, the repeats hit.
+        assert_eq!((stats.cache_misses, stats.cache_hits), (8, 16));
         assert_eq!(stats.resident_plans, 0, "one-shots must not leak residency");
         ctl.shutdown().expect("shutdown");
     });

@@ -1,25 +1,30 @@
 //! End-to-end tests for the serve fast path: the scratch request
 //! decoder must agree with the oracle decoder (vendored parser +
-//! serde-derive semantics) on random mutated wire lines, fast-path-on
-//! and fast-path-off servers must emit **byte-identical** reply lines
-//! for the same request stream, and a warmed connection must serve
-//! sustained one-shot predict load with **zero heap allocations**
-//! (`ServeStats::steady_allocs`), at 1 and 4 wavefront threads.
+//! serde-derive semantics) on random mutated wire lines, every
+//! fast-path reply line must be **byte-identical** to the oracle
+//! encoder's line for the in-process prediction (at 1 and 4 wavefront
+//! threads, 1 and 3 shards, over TCP and unix sockets), and a warmed
+//! connection must serve sustained one-shot predict load with **zero
+//! heap allocations** (`ServeStats::steady_allocs`).
 //!
 //! The decoder's contract is *fallback, not error parity*: `Ready` means
 //! the oracle would accept the line as an eligible one-shot
 //! `admit_predict` with the identical lowered plan; `Fallback` is always
 //! safe because the server re-runs the oracle decoder for the reply.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use qpp::net::serve::proto::{self, Request};
+use qpp::net::serve::proto::{self, Request, Response};
 use qpp::net::serve::scratch::{FastDecode, RequestScratch};
-use qpp::net::serve::{validate_plan, Client, ServeAddr, ServeConfig, Server};
+use qpp::net::serve::{
+    validate_plan, Client, ErrorCode, ErrorReply, ServeAddr, ServeConfig, Server,
+};
 use qpp::net::{QppConfig, QppNet, ScratchPlan};
 use qpp::plansim::prelude::*;
 
@@ -165,20 +170,30 @@ proptest! {
     }
 }
 
-/// A raw line-level client: writes request lines verbatim and returns
-/// reply lines verbatim, so replies can be compared byte-for-byte.
+/// A raw line-level client over TCP or unix sockets: writes request
+/// lines verbatim and returns reply lines verbatim, so replies can be
+/// compared byte-for-byte.
 struct RawClient {
-    w: TcpStream,
-    r: BufReader<TcpStream>,
+    w: Box<dyn Write>,
+    r: BufReader<Box<dyn Read>>,
 }
 
 impl RawClient {
     fn connect(addr: &ServeAddr) -> RawClient {
-        let ServeAddr::Tcp(a) = addr else { panic!("raw client is TCP-only") };
-        let s = TcpStream::connect(a).expect("connect");
-        s.set_nodelay(true).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        RawClient { r: BufReader::new(s.try_clone().unwrap()), w: s }
+        match addr {
+            ServeAddr::Tcp(a) => {
+                let s = TcpStream::connect(a).expect("connect tcp");
+                s.set_nodelay(true).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                RawClient { r: BufReader::new(Box::new(s.try_clone().unwrap())), w: Box::new(s) }
+            }
+            #[cfg(unix)]
+            ServeAddr::Unix(p) => {
+                let s = UnixStream::connect(p).expect("connect unix");
+                s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                RawClient { r: BufReader::new(Box::new(s.try_clone().unwrap())), w: Box::new(s) }
+            }
+        }
     }
 
     fn roundtrip(&mut self, line: &str) -> String {
@@ -191,87 +206,157 @@ impl RawClient {
     }
 }
 
-/// Spawns a server over the shared model, runs `body` against it, then
-/// shuts it down.
-fn with_server<T>(cfg: ServeConfig, body: impl FnOnce(&ServeAddr) -> T) -> T {
+fn tcp() -> ServeAddr {
+    ServeAddr::parse("127.0.0.1:0").unwrap()
+}
+
+/// Spawns a server over the shared model on `addr`, runs `body` against
+/// it, then shuts it down.
+fn with_server<T>(addr: &ServeAddr, cfg: ServeConfig, body: impl FnOnce(&ServeAddr) -> T) -> T {
     let (_, model) = fixture();
-    let mut server = Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), cfg).expect("bind");
+    let mut server = Server::bind(addr, cfg).expect("bind");
     server.register(model);
     let addr = server.local_addr().clone();
     std::thread::scope(|scope| {
         let server = &server;
         scope.spawn(move || server.run().expect("server run"));
-        let out = body(&addr);
+        // A failed check must stop the daemon, or the scope never joins.
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&addr)))
+            .unwrap_or_else(|panic| {
+                server.request_shutdown();
+                std::panic::resume_unwind(panic)
+            });
         let mut ctl = Client::connect(&addr).expect("control");
         ctl.shutdown().expect("shutdown");
         out
     })
 }
 
-/// The same request stream — eligible one-shots, ineligible verbs, and
-/// malformed hostile lines — against a fast-path server and a
-/// slow-path server must produce **byte-identical** reply lines, and
-/// only the fast server's `fast_path_predicted` may move.
+/// The reply line the daemon must send for `resp`.
+fn wire(resp: &Response) -> String {
+    proto::encode_response(resp) + "\n"
+}
+
+/// Fast-path replies are byte-identical to what the general (slow)
+/// path writes: every one-shot reply line equals the oracle encoder's
+/// line for the latency an in-process admit → predict_root → retire
+/// produces (a path that never probes the memo), first sends and memo
+/// hits alike. The same plan sent `keep:true` through the general path
+/// returns the same latency bits, and lines the fast path cannot take
+/// get the oracle decoder's error replies. Parameterised over 1 and 4
+/// wavefront threads, 1 and 3 shards, TCP and unix sockets.
 #[test]
 fn fast_path_replies_are_byte_identical_to_slow_path() {
     let (ds, model) = fixture();
     let fp = model.fingerprint().expect("fitted model has a fingerprint");
+    let mut addrs = vec![("tcp", tcp())];
+    #[cfg(unix)]
+    addrs.push((
+        "unix",
+        ServeAddr::Unix(
+            std::env::temp_dir().join(format!("qpp_serve_scratch_{}.sock", std::process::id())),
+        ),
+    ));
 
-    // Request stream: every flavor the fast path gates on.
-    let mut lines: Vec<String> = Vec::new();
-    for (i, plan) in ds.plans.iter().take(6).enumerate() {
-        let tenant = if i % 2 == 0 { Some(fp) } else { None };
-        lines.push(proto::encode_request(&Request::AdmitPredict {
-            plan: Box::new(plan.root.clone()),
-            keep: false,
-            tenant,
-        }));
-    }
-    // Ineligible but valid: keep=true (admits residency — replies carry
-    // ids, identical because both servers allocate ids in sequence).
-    lines.push(proto::encode_request(&Request::AdmitPredict {
-        plan: Box::new(ds.plans[0].root.clone()),
-        keep: true,
-        tenant: None,
-    }));
-    // Unknown tenant: fast path must fall back to the oracle's exact
-    // error reply.
-    lines.push(proto::encode_request(&Request::AdmitPredict {
-        plan: Box::new(ds.plans[1].root.clone()),
-        keep: false,
-        tenant: Some(fp ^ 1),
-    }));
-    // Hostile / malformed lines: error replies must match byte-for-byte.
+    // Eligible one-shot lines (both tenant spellings) and the oracle's
+    // latency for each.
+    const PLANS: usize = 8;
+    const ROUNDS: usize = 10;
+    let mut oracle = model.serve_stream();
+    let oneshots: Vec<(String, f64)> = ds.plans[..PLANS]
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| {
+            let line = proto::encode_request(&Request::AdmitPredict {
+                plan: Box::new(plan.root.clone()),
+                keep: false,
+                tenant: (i % 2 == 0).then_some(fp),
+            });
+            let pid = oracle.admit(&plan.root);
+            let latency_ms = oracle.predict_root(pid);
+            oracle.retire(pid);
+            (line, latency_ms)
+        })
+        .collect();
+
+    // Lines the fast path must hand to the general path, with the reply
+    // that path gives.
+    let arity_bad = r#"{"v":1,"op":"admit_predict","plan":{"op":"Materialize","est":{"width":1,"rows":1,"buffers":0,"ios":0,"total_cost":1,"selectivity":1},"actual":{"rows":1,"latency_ms":1,"self_latency_ms":1},"children":[]}}"#;
+    let Ok(Request::AdmitPredict { plan: bad_plan, .. }) = proto::decode_request(arity_bad) else {
+        panic!("the arity line decodes")
+    };
+    let arity_why = validate_plan(&bad_plan).expect_err("Materialize needs a child");
+    let mut fallbacks: Vec<(String, Response)> = vec![
+        (
+            proto::encode_request(&Request::AdmitPredict {
+                plan: Box::new(ds.plans[1].root.clone()),
+                keep: false,
+                tenant: Some(fp ^ 1),
+            }),
+            Response::Error(ErrorReply::new(
+                ErrorCode::UnknownTenant,
+                format!("no tenant with fingerprint {:016x}", fp ^ 1),
+            )),
+        ),
+        (
+            arity_bad.to_string(),
+            Response::Error(ErrorReply::new(ErrorCode::InvalidPlan, arity_why)),
+        ),
+    ];
     for bad in [
         r#"{"v":1,"op":"admit_predict"}"#,
         r#"{"v":2,"op":"admit_predict","plan":null}"#,
         r#"{"v":1,"op":"noop"}"#,
         r#"{"v":1,"op":"predict","id":7}"#,
-        r#"{"v":1,"op":"admit_predict","plan":{"op":"Materialize","est":{"width":1,"rows":1,"buffers":0,"ios":0,"total_cost":1,"selectivity":1},"actual":{"rows":1,"latency_ms":1,"self_latency_ms":1},"children":[]}}"#,
         "not json at all",
         r#"{"v":1,"op":"admit_predict","plan":[1,2],"keep":false}"#,
     ] {
-        lines.push(bad.to_string());
+        let err = proto::decode_request(bad).expect_err("hostile line is rejected");
+        fallbacks.push((bad.to_string(), Response::Error(err)));
     }
 
-    let run = |fast_path: bool| -> (Vec<String>, u64) {
-        let cfg = ServeConfig { fast_path, ..ServeConfig::default() };
-        with_server(cfg, |addr| {
-            let mut raw = RawClient::connect(addr);
-            let replies: Vec<String> = lines.iter().map(|l| raw.roundtrip(l)).collect();
-            let mut ctl = Client::connect(addr).expect("control");
-            let stats = ctl.stats().expect("stats");
-            (replies, stats.fast_path_predicted)
-        })
-    };
+    for (transport, addr) in &addrs {
+        for threads in [1usize, 4] {
+            for shards in [1usize, 3] {
+                let leg = format!("{transport} threads={threads} shards={shards}");
+                let cfg = ServeConfig { threads, shards, ..ServeConfig::default() };
+                with_server(addr, cfg, |addr| {
+                    let mut raw = RawClient::connect(addr);
+                    // Rounds past the first are memo hits; together they
+                    // run the connection past its allocation warmup.
+                    for _ in 0..ROUNDS {
+                        for &(ref line, latency_ms) in &oneshots {
+                            let want = wire(&Response::Predicted { id: None, latency_ms });
+                            assert_eq!(raw.roundtrip(line), want, "{leg}: one-shot {line}");
+                        }
+                    }
+                    // The same plan kept resident through the general path.
+                    let kept = proto::encode_request(&Request::AdmitPredict {
+                        plan: Box::new(ds.plans[0].root.clone()),
+                        keep: true,
+                        tenant: None,
+                    });
+                    let Ok(Response::Predicted { id: Some(_), latency_ms }) =
+                        proto::decode_response(raw.roundtrip(&kept).trim_end())
+                    else {
+                        panic!("{leg}: kept admit_predict must reply with an id")
+                    };
+                    let fast = oneshots[0].1;
+                    assert_eq!(latency_ms.to_bits(), fast.to_bits(), "{leg}: keep:true bits");
+                    for (line, want) in &fallbacks {
+                        assert_eq!(raw.roundtrip(line), wire(want), "{leg}: fallback {line}");
+                    }
 
-    let (fast_replies, fast_count) = run(true);
-    let (slow_replies, slow_count) = run(false);
-    for (i, (f, s)) in fast_replies.iter().zip(&slow_replies).enumerate() {
-        assert_eq!(f, s, "reply {i} diverged for request {}", lines[i]);
+                    let stats = Client::connect(addr).expect("control").stats().expect("stats");
+                    let sent = (PLANS * ROUNDS) as u64;
+                    assert_eq!(stats.fast_path_predicted, sent, "{leg}: fast-path count");
+                    assert_eq!(stats.cache_misses, PLANS as u64, "{leg}: one miss per plan");
+                    assert_eq!(stats.cache_hits, sent - PLANS as u64, "{leg}: repeats hit");
+                    assert_eq!(stats.steady_allocs, 0, "{leg}: steady state allocated");
+                });
+            }
+        }
     }
-    assert_eq!(slow_count, 0, "fast_path disabled must never take the fast path");
-    assert_eq!(fast_count, 6, "every eligible one-shot must take the fast path");
 }
 
 /// Sustained one-shot predict load on a warmed connection allocates
@@ -282,10 +367,8 @@ fn fast_path_replies_are_byte_identical_to_slow_path() {
 #[test]
 fn steady_state_fast_path_is_allocation_free() {
     for (threads, conns) in [(1usize, 1usize), (4, 4)] {
-        // Forced on: this test is about the fast path itself, so it must
-        // not flip off under the CI `QPP_SERVE_FAST_PATH=0` leg.
-        let cfg = ServeConfig { threads, fast_path: true, ..ServeConfig::default() };
-        with_server(cfg, |addr| {
+        let cfg = ServeConfig { threads, ..ServeConfig::default() };
+        with_server(&tcp(), cfg, |addr| {
             std::thread::scope(|scope| {
                 for c in 0..conns {
                     let addr = addr.clone();
