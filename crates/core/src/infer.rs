@@ -132,7 +132,9 @@ pub(crate) const STEP_CHUNK_ROWS: usize = 32;
 /// Shared between the batch-compiled [`PlanProgram`] and the incremental
 /// [`crate::stream::ProgramBuilder`] (which additionally grows/shrinks a
 /// step's member set in place — `input` is then allocated with
-/// [`Matrix::with_row_capacity`] so membership churn stays allocation-free).
+/// [`Matrix::with_row_capacity`] so membership churn stays allocation-free
+/// — and assembles every run's input in pooled scratch through
+/// [`forward_members`], so only the feature prefix of its `input` is read).
 pub(crate) struct Step {
     pub(crate) kind: OpKind,
     /// Global output-buffer row of each member node.
@@ -498,16 +500,17 @@ impl PlanProgram {
             }
             None => self.packed = Some((digest, PackedUnits::pack(units, false))),
         }
-        run_schedule(
-            &mut self.steps,
-            &self.levels,
-            &self.packed.as_ref().expect("packed above").1,
-            &mut self.outputs,
-            &mut self.pool,
-            exec,
-            self.out_w,
-            threads,
-        );
+        let packed = &self.packed.as_ref().expect("packed above").1;
+        // No parallelism worth dispatching for → the sequential in-place
+        // path, which never touches `exec`.
+        let threads = threads.min(max_level_width(&self.levels));
+        if threads <= 1 {
+            let (outputs, pool) = (&mut self.outputs, &mut self.pool);
+            run_levels_seq(&mut self.steps, &self.levels, packed, outputs, pool, self.out_w);
+        } else {
+            let (outputs, out_w) = (&mut self.outputs, self.out_w);
+            run_levels_parallel(&self.steps, &self.levels, packed, outputs, exec, threads, out_w);
+        }
     }
 
     fn decode_roots(&self, codec: &TargetCodec) -> Vec<f64> {
@@ -691,9 +694,7 @@ pub(crate) fn gather_child_columns<'a>(
 
 /// Executes a wavefront schedule bottom-up on the calling thread: for each
 /// step (levels ascending, in level order) routes child outputs into the
-/// step's baked input and runs the unit forward through `pool`. Steps are
-/// visited via the level id lists, so the step slab may contain retired
-/// (unlisted) entries — the incremental engine relies on this.
+/// step's baked input and runs the unit forward through `pool`.
 pub(crate) fn run_levels_seq(
     steps: &mut [Step],
     levels: &[Vec<u32>],
@@ -722,29 +723,44 @@ pub(crate) fn run_levels_seq(
     }
 }
 
-/// Dispatches a wavefront schedule onto the right executor — the single
-/// decision point shared by [`PlanProgram`] and the incremental builder:
-/// the thread count is capped at the widest level (no parallelism worth
-/// dispatching for → the sequential in-place path, which never touches
-/// `exec`), otherwise the levels run across `exec`'s resident worker
-/// pool, each worker using its executor-owned persistent [`BufferPool`].
-#[allow(clippy::too_many_arguments)] // two call sites; a context struct would just rename these
-pub(crate) fn run_schedule(
-    steps: &mut [Step],
-    levels: &[Vec<u32>],
+/// Runs `step`'s unit over members `from..` and returns their output rows
+/// (member `from + k` is row `k`; the caller gives the matrix back to
+/// `pool`). Unlike [`run_levels_seq`], which gathers child rows into the
+/// step's own input matrix, the input is assembled in scratch taken from
+/// `pool`, so steps can stay shared and immutable across workers: the
+/// feature prefixes are copied from the baked input and the child columns
+/// gathered through `row_of`. The gemm consumes the exact same input
+/// values either way, and the packed kernel is row-invariant, so each
+/// member's output bits equal the in-place path's — at any `from`. A
+/// whole leaf step (`arity == 0`, `from == 0`) runs on its baked input
+/// directly: the features ARE the full input.
+///
+/// Used by the parallel serving executor (`from == 0`) and by the
+/// incremental builder, which runs only the members it has not computed
+/// yet ([`crate::stream::ProgramBuilder`]).
+pub(crate) fn forward_members<'a>(
+    step: &Step,
+    from: usize,
     packed: &PackedUnits,
-    outputs: &mut Matrix,
     pool: &mut BufferPool,
-    exec: &Executor,
     out_w: usize,
-    threads: usize,
-) {
-    let threads = threads.min(max_level_width(levels));
-    if threads <= 1 {
-        run_levels_seq(steps, levels, packed, outputs, pool, out_w);
-    } else {
-        run_levels_parallel(steps, levels, packed, outputs, exec, threads, out_w);
+    row_of: impl Fn(usize) -> &'a [f32],
+) -> Matrix {
+    let unit = packed.unit(step.kind);
+    if step.arity == 0 && from == 0 {
+        return unit.forward_pooled(&step.input, pool);
     }
+    let members = step.rows.len() - from;
+    let fw = step.feat_width;
+    let mut scratch = pool.take(members, step.input.cols());
+    for i in 0..members {
+        scratch.row_mut(i)[..fw].copy_from_slice(&step.input.row(from + i)[..fw]);
+    }
+    let child_rows = &step.child_rows[from * step.arity..];
+    gather_child_columns(child_rows, step.arity, fw, out_w, &mut scratch, row_of);
+    let out = unit.forward_pooled(&scratch, pool);
+    pool.give(scratch);
+    out
 }
 
 /// Executes a wavefront schedule across `threads` resident workers of
@@ -767,34 +783,10 @@ pub(crate) fn run_levels_parallel(
     let mut workers = vec![(); threads];
     run_levels_parallel_with(exec, levels, false, &mut workers, &|(), pool, id| {
         let step = &steps[id as usize];
-        let out = if step.arity == 0 {
-            // Leaves: the baked feature matrix IS the full input.
-            packed.unit(step.kind).forward_pooled(&step.input, pool)
-        } else {
-            // Unlike the sequential path — which gathers child rows into
-            // the step's own input matrix — workers assemble each step's
-            // input in scratch taken from their private pool, so the
-            // compiled steps stay shared and immutable across threads. The
-            // gemm consumes the exact same input values either way, and
-            // scratch has the same shape as the baked input, so the kernel
-            // (and its result, bit for bit) is identical to the sequential
-            // path's.
-            let members = step.rows.len();
-            let fw = step.feat_width;
-            let mut scratch = pool.take(members, step.input.cols());
-            for i in 0..members {
-                scratch.row_mut(i)[..fw].copy_from_slice(&step.input.row(i)[..fw]);
-            }
-            // SAFETY (row reads): child rows live at strictly lower
-            // heights — fully written in an earlier level and
-            // barrier-sequenced with these reads.
-            gather_child_columns(&step.child_rows, step.arity, fw, out_w, &mut scratch, |r| {
-                unsafe { outputs.row(r) }
-            });
-            let out = packed.unit(step.kind).forward_pooled(&scratch, pool);
-            pool.give(scratch);
-            out
-        };
+        // SAFETY (row reads): child rows live at strictly lower heights —
+        // fully written in an earlier level and barrier-sequenced with
+        // these reads.
+        let out = forward_members(step, 0, packed, pool, out_w, |r| unsafe { outputs.row(r) });
         for (k, &r) in step.rows.iter().enumerate() {
             // SAFETY: each output row belongs to exactly one step, and
             // this worker owns this step within the current level.

@@ -1093,6 +1093,11 @@ pub struct Server<'m> {
     cfg: ServeConfig,
     state: Mutex<State<'m>>,
     fast: FastStats,
+    /// Request and error counts of every path, kept as atomics so that
+    /// counting a request never retakes the state lock. Folded into
+    /// [`ServeStats`] by the `stats` verb.
+    requests: AtomicU64,
+    errors: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -1113,6 +1118,8 @@ impl<'m> Server<'m> {
                 stats: proto::ServeStats::default(),
             }),
             fast: FastStats::default(),
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -1279,7 +1286,6 @@ impl<'m> Server<'m> {
                 // Let the general path produce the error reply.
                 return false;
             }
-            st.stats.requests += 1;
             st.stats.admitted += 1;
             st.stats.predicted += 1;
             st.stats.retired += 1;
@@ -1296,6 +1302,7 @@ impl<'m> Server<'m> {
         write_wire_f64(proto::VERSION as f64, out);
         out.extend_from_slice(b"}\n");
         let serialize_ns = t1.elapsed().as_nanos() as u64;
+        self.requests.fetch_add(1, Ordering::Relaxed);
         self.fast.predicted.fetch_add(1, Ordering::Relaxed);
         self.fast.parse_ns.fetch_add(parse_ns, Ordering::Relaxed);
         self.fast.featurize_ns.fetch_add(run.featurize_ns, Ordering::Relaxed);
@@ -1305,10 +1312,9 @@ impl<'m> Server<'m> {
     }
 
     fn count_request(&self, is_error: bool) {
-        let mut st = self.lock();
-        st.stats.requests += 1;
+        self.requests.fetch_add(1, Ordering::Relaxed);
         if is_error {
-            st.stats.errors += 1;
+            self.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1478,6 +1484,8 @@ impl<'m> Server<'m> {
             stats.cache_entries += ps.pred_cache_entries as u64;
             stats.cache_hit_ns += ps.pred_cache_hit_ns;
         }
+        stats.requests = self.requests.load(Ordering::Relaxed);
+        stats.errors = self.errors.load(Ordering::Relaxed);
         stats.fast_path_predicted = self.fast.predicted.load(Ordering::Relaxed);
         stats.parse_ns = self.fast.parse_ns.load(Ordering::Relaxed);
         stats.featurize_ns = self.fast.featurize_ns.load(Ordering::Relaxed);

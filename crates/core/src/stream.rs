@@ -17,6 +17,10 @@
 //! * [`ProgramBuilder::retire`] releases a plan's nodes — chunk slots are
 //!   compacted by swap-remove and output rows return to a free-list for
 //!   the next admission;
+//! * each shared row is **computed once**, by the first predict after it
+//!   is placed: a per-chunk counter tracks how many leading members hold
+//!   current outputs, and a run executes only the stale tails, so a
+//!   predict of an already-computed plan is a decode;
 //! * a **feature-row cache** ([`qpp_plansim::features::FeatureCache`])
 //!   keyed by the exact per-node content key
 //!   ([`crate::lower::NodeContentKey`]) skips Table-2 featurization for
@@ -37,7 +41,7 @@
 //!
 //! Predictions are **bit-identical** to a fresh
 //! [`crate::infer::PlanProgram::compile`] of the same resident set, at any
-//! thread count. Three facts compose into that guarantee:
+//! thread count. Four facts compose into that guarantee:
 //!
 //! 1. the fused gemm kernel is *row-invariant* — a row's output bits
 //!    depend only on its own input, the weights and the bias, never on
@@ -48,14 +52,23 @@
 //!    construction;
 //! 3. scheduling still runs heights strictly ascending, so every child
 //!    row is written before any parent reads it, exactly as in the batch
-//!    engine.
+//!    engine;
+//! 4. a row depends only on its node's features and its children's rows,
+//!    none of which change while the node is resident, and the builder's
+//!    `'m` borrow freezes the weights — so by fact 1 a row computed once
+//!    equals the same row recomputed, bit for bit, and skipping the
+//!    recompute is invisible.
 //!
 //! The differential suite (`tests/stream_differential.rs`) holds random
 //! admit/retire/predict interleavings to exact equality against fresh
-//! compiles, on 1 and 4 threads, in debug and release.
+//! compiles, on 1, 2 and 4 threads (one builder per thread count), in
+//! debug and release.
 
 use crate::config::TargetCodec;
-use crate::infer::{clamp_plan_envelope, run_schedule, Step, STEP_CHUNK_ROWS};
+use crate::infer::{
+    clamp_plan_envelope, forward_members, max_level_width, run_levels_parallel_with, SharedRows,
+    Step, STEP_CHUNK_ROWS,
+};
 use crate::lower::{lower, Lowering, NodeContentKey, SubtreeKey};
 use qpp_plansim::util::Fnv1a;
 use crate::tree::RatioCaps;
@@ -139,6 +152,10 @@ pub struct ProgramStats {
     pub pred_cache_evictions: u64,
     /// Cumulative wall time of memo hits (key assembly + probe), ns.
     pub pred_cache_hit_ns: u64,
+    /// Cumulative resident rows pushed through the unit gemms. Each
+    /// shared row is computed once, at the first predict after it is
+    /// placed, so a predict with no admission since the last one adds 0.
+    pub rows_run: u64,
 }
 
 impl ProgramStats {
@@ -370,7 +387,8 @@ impl PredictionCache {
 /// Predictions equal a fresh [`crate::infer::PlanProgram::compile`] of
 /// the resident set bit for bit (see the module docs for why), so the
 /// builder is purely an asymptotic win: admission costs O(plan) instead
-/// of O(resident batch).
+/// of O(resident batch), and a predict computes only the rows placed
+/// since the previous predict — once per shared row, not per request.
 pub struct ProgramBuilder<'m> {
     featurizer: &'m Featurizer,
     whitener: &'m Whitener,
@@ -391,6 +409,9 @@ pub struct ProgramBuilder<'m> {
     /// Member slot → shared-node id, parallel to `steps` (back-pointers
     /// for the swap-remove compaction on retire).
     step_nodes: Vec<Vec<u32>>,
+    /// How many leading members of each step have current output rows,
+    /// parallel to `steps`: a run computes only members `fresh..len`.
+    step_fresh: Vec<u32>,
     step_free: Vec<u32>,
     /// Live chunk ids per `(height, family)` wavefront; BTreeMap order is
     /// the execution order (heights ascending, families stable).
@@ -399,6 +420,10 @@ pub struct ProgramBuilder<'m> {
     /// topology changes.
     levels: Vec<Vec<u32>>,
     schedule_dirty: bool,
+    /// Per-run scratch: the steps of each level that have stale members.
+    stale_levels: Vec<Vec<u32>>,
+    /// Cumulative rows computed (see [`ProgramStats::rows_run`]).
+    rows_run: u64,
 
     /// Unique-subtree slab + free list.
     nodes: Vec<SharedNode>,
@@ -418,6 +443,8 @@ pub struct ProgramBuilder<'m> {
     /// Reusable whole-plan key words; a warm probe assembles the key
     /// here without touching the allocator.
     key_scratch: Vec<u64>,
+    /// Reusable per-position predictions of a resident-plan decode.
+    preds: Vec<f64>,
 
     /// `shared rows × out_w`; row `r` holds node `r`'s `(latency ⌢ data)`.
     /// Retired rows are recycled through `row_free` before the matrix
@@ -454,10 +481,13 @@ impl<'m> ProgramBuilder<'m> {
             out_w,
             steps: Vec::new(),
             step_nodes: Vec::new(),
+            step_fresh: Vec::new(),
             step_free: Vec::new(),
             wavefronts: BTreeMap::new(),
             levels: Vec::new(),
             schedule_dirty: false,
+            stale_levels: Vec::new(),
+            rows_run: 0,
             nodes: Vec::new(),
             node_free: Vec::new(),
             live_nodes: 0,
@@ -469,6 +499,7 @@ impl<'m> ProgramBuilder<'m> {
             oneshot: OneshotScratch::default(),
             pred_cache: PredictionCache::new(),
             key_scratch: Vec::new(),
+            preds: Vec::new(),
             outputs: Matrix::zeros(0, out_w),
             row_free: Vec::new(),
             pool: BufferPool::new(),
@@ -636,13 +667,17 @@ impl<'m> ProgramBuilder<'m> {
             pred_cache_misses: self.pred_cache.misses(),
             pred_cache_evictions: self.pred_cache.evictions(),
             pred_cache_hit_ns: self.pred_cache.hit_ns(),
+            rows_run: self.rows_run,
         }
     }
 
     /// Decoded root-latency prediction (milliseconds) for one resident
-    /// plan, running the whole resident program once on the calling
-    /// thread. Clamped onto the structural envelope when the builder was
-    /// created with ratio caps (i.e. the model's configured policy).
+    /// plan, on the calling thread. First computes the resident rows no
+    /// earlier predict has computed (those placed by admissions since),
+    /// then decodes the plan's rows; a predict with nothing new to
+    /// compute is decode plus clamp and, warm, allocation-free. Clamped
+    /// onto the structural envelope when the builder was created with
+    /// ratio caps (i.e. the model's configured policy).
     pub fn predict_root(&mut self, id: PlanId) -> f64 {
         self.predict_root_threaded(id, 1)
     }
@@ -651,8 +686,7 @@ impl<'m> ProgramBuilder<'m> {
     /// bit-identical at any thread count).
     pub fn predict_root_threaded(&mut self, id: PlanId, threads: usize) -> f64 {
         self.run(threads);
-        let preds = self.decode_plan(id);
-        *preds.last().expect("plans are non-empty")
+        self.decode_root(id)
     }
 
     /// Root predictions for every resident plan, in admission order.
@@ -664,9 +698,7 @@ impl<'m> ProgramBuilder<'m> {
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
         self.run(threads);
         let ids: Vec<u64> = self.plans.keys().copied().collect();
-        ids.into_iter()
-            .map(|id| *self.decode_plan(PlanId(id)).last().expect("plans are non-empty"))
-            .collect()
+        ids.into_iter().map(|id| self.decode_root(PlanId(id))).collect()
     }
 
     /// Per-operator latency predictions (post order, milliseconds) for
@@ -678,7 +710,9 @@ impl<'m> ProgramBuilder<'m> {
     /// [`ProgramBuilder::predict_all`] on `threads` workers.
     pub fn predict_all_threaded(&mut self, id: PlanId, threads: usize) -> Vec<f64> {
         self.run(threads);
-        self.decode_plan(id)
+        let mut preds = Vec::new();
+        self.decode_into(id, &mut preds);
+        preds
     }
 
     /// One-shot root prediction of a non-resident plan: featurizes
@@ -797,36 +831,117 @@ impl<'m> ProgramBuilder<'m> {
         }
     }
 
-    /// Executes the resident program (rebuilding the level schedule if
-    /// admissions/retirements dirtied it), leaving every live output row
-    /// fresh for decoding.
+    /// Brings every live output row up to date (rebuilding the level
+    /// schedule if admissions/retirements dirtied it) by running only
+    /// each step's stale tail — members `step_fresh[s]..len` — levels
+    /// ascending. A row depends only on its own features and its
+    /// children's rows, and the `'m` borrow freezes the weights, so a
+    /// computed row stays valid until its node is released; the packed
+    /// gemm is row-invariant, so computing a member once, in whatever
+    /// tail it sat, gives the bits a full rerun would. A step's counter
+    /// advances only after its rows are written, so a run that panics
+    /// leaves the unwritten rows stale for the next run to redo. A run
+    /// with nothing stale does no gemm and no executor dispatch.
     fn run(&mut self, threads: usize) {
         self.ensure_schedule();
-        run_schedule(
-            &mut self.steps,
-            &self.levels,
-            &self.packed,
-            &mut self.outputs,
-            &mut self.pool,
-            Executor::global(),
-            self.out_w,
-            threads,
-        );
+        // The stale steps of each level, in reusable scratch (inner
+        // vectors keep their capacity across runs; only `..n` is live).
+        let mut stale = std::mem::take(&mut self.stale_levels);
+        let mut n = 0;
+        for level in &self.levels {
+            if n == stale.len() {
+                stale.push(Vec::new());
+            }
+            let ids = &mut stale[n];
+            ids.clear();
+            ids.extend(level.iter().copied().filter(|&s| self.step_is_stale(s)));
+            if !ids.is_empty() {
+                n += 1;
+            }
+        }
+        let levels = &stale[..n];
+        let threads = threads.min(max_level_width(levels));
+        if threads <= 1 {
+            for &s in levels.iter().flatten() {
+                let (s, step) = (s as usize, &self.steps[s as usize]);
+                let from = self.step_fresh[s] as usize;
+                let (packed, outputs, pool) = (&self.packed, &self.outputs, &mut self.pool);
+                let out = forward_members(step, from, packed, pool, self.out_w, |r| outputs.row(r));
+                out.scatter_rows_into(&step.rows[from..], &mut self.outputs);
+                self.pool.give(out);
+                self.rows_run += (step.rows.len() - from) as u64;
+                self.step_fresh[s] = step.rows.len() as u32;
+            }
+        } else {
+            let (steps, fresh, packed) = (&self.steps, &self.step_fresh, &self.packed);
+            let out_w = self.out_w;
+            let outputs = SharedRows::new(&mut self.outputs);
+            let mut workers = vec![(); threads];
+            let exec = Executor::global();
+            run_levels_parallel_with(exec, levels, false, &mut workers, &|(), pool, s| {
+                let step = &steps[s as usize];
+                let from = fresh[s as usize] as usize;
+                // SAFETY (row reads): children sit at strictly lower
+                // heights — written by an earlier run, or in an earlier
+                // level of this one and barrier-sequenced with these
+                // reads; this run writes only stale rows.
+                let out =
+                    forward_members(step, from, packed, pool, out_w, |r| unsafe { outputs.row(r) });
+                for (k, &r) in step.rows[from..].iter().enumerate() {
+                    // SAFETY: each output row belongs to exactly one step,
+                    // and this worker owns this step within the level.
+                    unsafe { outputs.write_row(r, out.row(k)) };
+                }
+                pool.give(out);
+            });
+            // Reached only if no worker panicked (the payload is re-raised
+            // above), so a poisoned run advances no counter.
+            for &s in levels.iter().flatten() {
+                let len = self.steps[s as usize].rows.len();
+                self.rows_run += (len - self.step_fresh[s as usize] as usize) as u64;
+                self.step_fresh[s as usize] = len as u32;
+            }
+        }
+        self.stale_levels = stale;
+    }
+
+    /// True when step `s` has members whose output rows have not been
+    /// computed since they were placed.
+    fn step_is_stale(&self, s: u32) -> bool {
+        (self.step_fresh[s as usize] as usize) < self.steps[s as usize].rows.len()
+    }
+
+    /// True when some live member's output row has not been computed
+    /// since it was placed (a run would do work). Retired steps are
+    /// empty, so the whole slab can be scanned.
+    fn has_stale(&self) -> bool {
+        (0..self.steps.len() as u32).any(|s| self.step_is_stale(s))
     }
 
     /// Decodes (and, under caps, envelope-clamps) one resident plan's
-    /// per-position predictions from the freshly-run output buffer.
-    fn decode_plan(&self, id: PlanId) -> Vec<f64> {
+    /// per-position predictions from the up-to-date output buffer into
+    /// `preds`.
+    fn decode_into(&self, id: PlanId, preds: &mut Vec<f64>) {
         let plan = self
             .plans
             .get(&id.0)
             .unwrap_or_else(|| panic!("plan {id:?} is not resident (already retired?)"));
-        let mut preds: Vec<f64> =
-            plan.rows.iter().map(|&r| self.codec.decode(self.outputs.get(r, 0))).collect();
+        preds.clear();
+        preds.extend(plan.rows.iter().map(|&r| self.codec.decode(self.outputs.get(r, 0))));
         if let Some(caps) = self.caps {
-            clamp_plan_envelope(&mut preds, &plan.lowering, &plan.kinds, caps);
+            clamp_plan_envelope(preds, &plan.lowering, &plan.kinds, caps);
         }
-        preds
+    }
+
+    /// The decoded (clamped) root prediction of one resident plan,
+    /// decoded through the builder's reusable scratch — no allocation
+    /// once warm.
+    fn decode_root(&mut self, id: PlanId) -> f64 {
+        let mut preds = std::mem::take(&mut self.preds);
+        self.decode_into(id, &mut preds);
+        let root = *preds.last().expect("plans are non-empty");
+        self.preds = preds;
+        root
     }
 
     /// Rebuilds the cached level schedule from the wavefront map (heights
@@ -909,6 +1024,7 @@ impl<'m> ProgramBuilder<'m> {
                         step.input.resize_for_overwrite(0, in_dim);
                         step.input.reserve_row_capacity(STEP_CHUNK_ROWS);
                         self.step_nodes[s as usize].clear();
+                        self.step_fresh[s as usize] = 0;
                         s
                     }
                     None => {
@@ -921,6 +1037,7 @@ impl<'m> ProgramBuilder<'m> {
                             input: Matrix::with_row_capacity(STEP_CHUNK_ROWS, in_dim),
                         });
                         self.step_nodes.push(Vec::with_capacity(STEP_CHUNK_ROWS));
+                        self.step_fresh.push(0);
                         (self.steps.len() - 1) as u32
                     }
                 };
@@ -952,6 +1069,15 @@ impl<'m> ProgramBuilder<'m> {
 
         let step = &mut self.steps[sid];
         let last = step.rows.len() - 1;
+        // Swap-remove moves the last member into `slot`. If that member is
+        // stale (`last >= fresh`) and lands inside the computed prefix,
+        // the prefix now ends at `slot`; either way it cannot outgrow the
+        // shortened step.
+        let mut fresh = self.step_fresh[sid] as usize;
+        if slot < fresh && fresh <= last {
+            fresh = slot;
+        }
+        self.step_fresh[sid] = fresh.min(last) as u32;
         step.rows.swap_remove(slot);
         step.input.swap_remove_row(slot);
         if step.arity > 0 {
@@ -1407,19 +1533,13 @@ impl<'m> ShardedStream<'m> {
     }
 
     /// Root predictions for every resident plan (admission order), with
-    /// the non-empty shards running **concurrently** — one resident
-    /// worker per shard, each shard's schedule sequential, so the bits
-    /// match single-builder execution exactly (see the type docs).
+    /// the shards that have stale rows running **concurrently** — one
+    /// resident worker per shard, each shard's schedule sequential, so
+    /// the bits match single-builder execution exactly (see the type
+    /// docs).
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
-        let todo: Vec<usize> =
-            (0..self.shards.len()).filter(|&s| !self.shards[s].is_empty()).collect();
-        self.run_shards(&todo, threads);
-        self.routes
-            .values()
-            .map(|&(shard, inner)| {
-                *self.shards[shard].decode_plan(inner).last().expect("plans are non-empty")
-            })
-            .collect()
+        self.run_shards((0..self.shards.len()).collect(), threads);
+        self.routes.values().map(|&(shard, inner)| self.shards[shard].decode_root(inner)).collect()
     }
 
     /// [`ShardedStream::predict_roots_threaded`] on the calling thread.
@@ -1428,17 +1548,17 @@ impl<'m> ShardedStream<'m> {
     }
 
     /// Root predictions for a specific id set (argument order), running
-    /// only the shards those ids live on — the decode half of a
-    /// micro-batched request (see [`MicroBatcher`]).
+    /// only the shards those ids live on that have stale rows — the
+    /// decode half of a micro-batched request (see [`MicroBatcher`]).
     pub fn predict_batch_threaded(&mut self, ids: &[PlanId], threads: usize) -> Vec<f64> {
         let mut todo: Vec<usize> = ids.iter().map(|&id| self.route(id).0).collect();
         todo.sort_unstable();
         todo.dedup();
-        self.run_shards(&todo, threads);
+        self.run_shards(todo, threads);
         ids.iter()
             .map(|&id| {
                 let &(shard, inner) = self.route(id);
-                *self.shards[shard].decode_plan(inner).last().expect("plans are non-empty")
+                self.shards[shard].decode_root(inner)
             })
             .collect()
     }
@@ -1468,6 +1588,7 @@ impl<'m> ShardedStream<'m> {
             pred_cache_misses: 0,
             pred_cache_evictions: 0,
             pred_cache_hit_ns: 0,
+            rows_run: 0,
         };
         for s in &self.shards {
             let st = s.stats();
@@ -1485,6 +1606,7 @@ impl<'m> ShardedStream<'m> {
             agg.pred_cache_misses += st.pred_cache_misses;
             agg.pred_cache_evictions += st.pred_cache_evictions;
             agg.pred_cache_hit_ns += st.pred_cache_hit_ns;
+            agg.rows_run += st.rows_run;
         }
         agg
     }
@@ -1495,22 +1617,26 @@ impl<'m> ShardedStream<'m> {
             .unwrap_or_else(|| panic!("plan {id:?} is not resident (already retired?)"))
     }
 
-    /// Runs the shards in `todo` (distinct indices), concurrently when
-    /// `threads > 1`: worker `w` executes shards `todo[w]`,
-    /// `todo[w + threads]`, … — each shard sequentially on that worker's
-    /// thread, so per-shard output bits are thread-count-invariant.
-    fn run_shards(&mut self, todo: &[usize], threads: usize) {
+    /// Runs those shards in `todo` (distinct indices) that have stale
+    /// rows, concurrently when `threads > 1`: worker `w` executes shards
+    /// `todo[w]`, `todo[w + threads]`, … of them — each shard
+    /// sequentially on that worker's thread, so per-shard output bits are
+    /// thread-count-invariant. Shards with nothing stale are skipped, so
+    /// a batch predict of computed plans dispatches nothing.
+    fn run_shards(&mut self, mut todo: Vec<usize>, threads: usize) {
+        todo.retain(|&s| self.shards[s].has_stale());
         if todo.is_empty() {
             return;
         }
         let threads = threads.clamp(1, todo.len());
         if threads <= 1 {
-            for &s in todo {
+            for &s in &todo {
                 self.shards[s].run(1);
             }
             return;
         }
         let shards_addr = self.shards.as_mut_ptr() as usize;
+        let todo = &todo;
         Executor::global().run(threads, &move |worker, _pool| {
             for &s in todo.iter().skip(worker).step_by(threads) {
                 // SAFETY: `todo` holds distinct indices and the
@@ -1681,11 +1807,17 @@ mod tests {
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         let mut resident: Vec<&Plan> = Vec::new();
         for plan in ds.plans.iter().take(12) {
+            let before = builder.stats();
             builder.admit(&plan.root);
             resident.push(plan);
             let incremental = builder.predict_roots();
             let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &resident);
             assert_eq!(bits(&incremental), bits(&fresh), "after admitting {}", resident.len());
+            // The predict computed exactly the shared rows the admission
+            // placed, and nothing already computed.
+            let after = builder.stats();
+            let placed = (after.shared_rows - before.shared_rows) as u64;
+            assert_eq!(after.rows_run - before.rows_run, placed, "after {}", resident.len());
         }
     }
 
@@ -1755,6 +1887,9 @@ mod tests {
         for id in &ids {
             assert_eq!(builder.predict_root(*id).to_bits(), fresh[0].to_bits());
         }
+        // The shared rows ran once, for all four copies: the three
+        // all-CSE-hit admissions added nothing to compute.
+        assert_eq!(builder.stats().rows_run, plan.node_count() as u64);
         // Retiring three copies keeps the shared rows alive for the last.
         for id in &ids[..3] {
             builder.retire(*id);
@@ -1878,13 +2013,23 @@ mod tests {
     #[test]
     fn threaded_predictions_are_bit_identical() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
-        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        for p in &ds.plans {
-            builder.admit(&p.root);
-        }
-        let base = builder.predict_roots();
-        for threads in [2, 4, 8] {
-            assert_eq!(bits(&builder.predict_roots_threaded(threads)), bits(&base));
+        let mut base = None;
+        // One builder per thread count: a builder computes each row once,
+        // so on a shared builder only the first count would run anything.
+        for threads in [1, 2, 4, 8] {
+            let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+            let ids: Vec<PlanId> = ds.plans.iter().map(|p| builder.admit(&p.root)).collect();
+            let got = builder.predict_roots_threaded(threads);
+            let want = base.get_or_insert_with(|| got.clone());
+            assert_eq!(bits(&got), bits(want), "{threads} threads");
+            let computed = builder.stats();
+            assert_eq!(computed.rows_run, computed.shared_rows as u64, "each row runs once");
+            // With no admission in between, further predicts decode only.
+            assert_eq!(bits(&builder.predict_roots_threaded(threads)), bits(want));
+            for (&id, w) in ids.iter().zip(want.iter()) {
+                assert_eq!(builder.predict_root_threaded(id, threads).to_bits(), w.to_bits());
+            }
+            assert_eq!(builder.stats().rows_run, computed.rows_run, "a repeat predict ran rows");
         }
     }
 
@@ -1892,32 +2037,40 @@ mod tests {
     fn sharded_stream_matches_single_builder_bitwise() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut single = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        let mut sharded = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
         let mut single_ids = Vec::new();
-        let mut sharded_ids = Vec::new();
         for p in ds.plans.iter().take(12) {
             single_ids.push(single.admit(&p.root));
-            sharded_ids.push(sharded.admit(&p.root));
         }
-        assert_eq!(sharded.len(), 12);
-        assert_eq!(sharded.num_shards(), 3);
-        // Batch views agree at every thread count, and per-plan views
-        // agree with the single builder.
         let base = single.predict_roots();
+        // One stream per thread count (a stream computes each row once).
         for threads in [1, 2, 4] {
+            let mut sharded = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
+            let sharded_ids: Vec<PlanId> =
+                ds.plans.iter().take(12).map(|p| sharded.admit(&p.root)).collect();
+            assert_eq!(sharded.len(), 12);
+            assert_eq!(sharded.num_shards(), 3);
+            // The batch view agrees with the single builder, and a repeat
+            // batch predict skips every shard (nothing is stale).
             assert_eq!(bits(&sharded.predict_roots_threaded(threads)), bits(&base));
+            let ran = sharded.stats().rows_run;
+            assert_eq!(ran, sharded.stats().shared_rows as u64);
+            assert_eq!(bits(&sharded.predict_batch_threaded(&sharded_ids, threads)), bits(&base));
+            assert_eq!(bits(&sharded.predict_roots_threaded(threads)), bits(&base));
+            assert_eq!(sharded.stats().rows_run, ran, "a repeat sharded predict ran rows");
+            // Per-plan views agree with the single builder.
+            for (s, d) in single_ids.iter().zip(&sharded_ids) {
+                assert_eq!(sharded.predict_root(*d).to_bits(), single.predict_root(*s).to_bits());
+                assert_eq!(bits(&sharded.predict_all(*d)), bits(&single.predict_all(*s)));
+            }
+            // Retire half; survivors still agree.
+            for d in sharded_ids.iter().step_by(2) {
+                sharded.retire(*d);
+            }
+            let survivors: Vec<PlanId> = single_ids.iter().skip(1).step_by(2).copied().collect();
+            let want: Vec<f64> = survivors.iter().map(|&s| single.predict_root(s)).collect();
+            assert_eq!(bits(&sharded.predict_roots_threaded(threads)), bits(&want));
+            assert!(sharded.contains(sharded_ids[1]) && !sharded.contains(sharded_ids[0]));
         }
-        for (s, d) in single_ids.iter().zip(&sharded_ids) {
-            assert_eq!(sharded.predict_root(*d).to_bits(), single.predict_root(*s).to_bits());
-            assert_eq!(bits(&sharded.predict_all(*d)), bits(&single.predict_all(*s)));
-        }
-        // Retire half; survivors still agree.
-        for (s, d) in single_ids.iter().zip(&sharded_ids).step_by(2) {
-            single.retire(*s);
-            sharded.retire(*d);
-        }
-        assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots()));
-        assert!(sharded.contains(sharded_ids[1]) && !sharded.contains(sharded_ids[0]));
     }
 
     #[test]
@@ -2155,6 +2308,129 @@ mod tests {
         let st = builder.stats();
         assert!(st.pred_cache_evictions > 0, "the cap must have forced resets");
         assert_eq!((st.pred_cache_hits, st.pred_cache_misses), (0, 100));
+    }
+
+    /// Per-step `(computed prefix, members)` of the live steps.
+    fn fresh_counts(builder: &ProgramBuilder<'_>) -> Vec<(usize, usize)> {
+        let counts = builder.steps.iter().zip(&builder.step_fresh);
+        counts.map(|(s, &f)| (f as usize, s.rows.len())).collect()
+    }
+
+    #[test]
+    fn retiring_into_a_stale_tail_keeps_the_counter_honest() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
+        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+        let (first, second) = ds.plans.split_at(8);
+        let old: Vec<PlanId> = first.iter().map(|p| builder.admit(&p.root)).collect();
+        builder.predict_roots();
+        // Computed members now sit in each step's prefix; the next
+        // admissions append stale members behind them.
+        let mut resident: Vec<&Plan> = first.iter().collect();
+        for p in &second[..8] {
+            builder.admit(&p.root);
+            resident.push(p);
+        }
+        let before = fresh_counts(&builder);
+        // Retiring computed plans swap-removes stale tail members into the
+        // computed prefix.
+        for &id in old.iter().step_by(2) {
+            builder.retire(id);
+        }
+        let survives = |&(i, _): &(usize, &&Plan)| i >= 8 || i % 2 == 1;
+        let resident: Vec<&Plan> =
+            resident.iter().enumerate().filter(survives).map(|(_, &p)| p).collect();
+        let after = fresh_counts(&builder);
+        assert!(
+            before.iter().zip(&after).any(|(&(f0, _), &(f1, len1))| f1 < f0.min(len1)),
+            "no retirement moved a stale member into a computed prefix: {before:?} -> {after:?}"
+        );
+        let want = fresh_compile_roots(&fz, &wh, &units, &codec, &resident);
+        assert_eq!(bits(&builder.predict_roots()), bits(&want));
+        assert!(fresh_counts(&builder).iter().all(|&(f, len)| f == len), "a run left stale rows");
+    }
+
+    #[test]
+    fn recycled_steps_and_rows_are_recomputed() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
+        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+        let ids: Vec<PlanId> = ds.plans.iter().take(10).map(|p| builder.admit(&p.root)).collect();
+        builder.predict_roots();
+        for id in ids {
+            builder.retire(id);
+        }
+        assert!(!builder.step_free.is_empty() && !builder.row_free.is_empty());
+        let (free_steps, free_rows) = (builder.step_free.len(), builder.row_free.len());
+        // A different plan set lands on the recycled steps and rows, whose
+        // buffers still hold the retired plans' outputs.
+        let next: Vec<&Plan> = ds.plans.iter().skip(10).take(10).collect();
+        for p in &next {
+            builder.admit(&p.root);
+        }
+        assert!(builder.step_free.len() < free_steps && builder.row_free.len() < free_rows);
+        let before = builder.stats();
+        let got = builder.predict_roots();
+        assert_eq!(builder.stats().rows_run - before.rows_run, before.shared_rows as u64);
+        assert_eq!(bits(&got), bits(&fresh_compile_roots(&fz, &wh, &units, &codec, &next)));
+    }
+
+    #[test]
+    fn poisoned_run_leaves_rows_stale_for_the_next_predict() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
+        // Same output width, different per-family input dims: every gemm
+        // of a run on these panels panics on its shape assert.
+        let other = Dataset::generate(Workload::TpcH, 1.0, 8, 3);
+        let fz2 = Featurizer::new(&other.catalog);
+        let mut rng2 = rand::rngs::StdRng::seed_from_u64(9);
+        let units2 = UnitSet::new(&QppConfig::tiny(), &fz2, &mut rng2);
+        assert_eq!(units2.out_size(), units.out_size());
+        for threads in [1, 4] {
+            let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+            let mut resident: Vec<&Plan> = ds.plans.iter().take(8).collect();
+            for p in &resident {
+                builder.admit(&p.root);
+            }
+            builder.predict_roots();
+            for p in ds.plans.iter().skip(8) {
+                builder.admit(&p.root);
+                resident.push(p);
+            }
+            // The stale tails span several steps of one level, so the
+            // 4-thread run takes the parallel runner.
+            builder.ensure_schedule();
+            let stale_in = |l: &Vec<u32>| l.iter().filter(|&&s| builder.step_is_stale(s)).count();
+            assert!(builder.levels.iter().map(stale_in).max().unwrap_or(0) >= 2);
+            let before = builder.stats();
+            let good = std::mem::replace(&mut builder.packed, PackedUnits::pack(&units2, false));
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                builder.predict_roots_threaded(threads)
+            }));
+            assert!(r.is_err(), "the mismatched panels must panic ({threads} threads)");
+            assert_eq!(builder.stats().rows_run, before.rows_run, "a poisoned run advanced");
+            builder.packed = good;
+            let got = builder.predict_roots_threaded(threads);
+            let stale = before.shared_rows as u64 - before.rows_run;
+            assert_eq!(builder.stats().rows_run - before.rows_run, stale, "{threads} threads");
+            assert_eq!(
+                bits(&got),
+                bits(&fresh_compile_roots(&fz, &wh, &units, &codec, &resident)),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_resident_predict_is_allocation_free() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
+        let caps = crate::tree::fit_ratio_caps(ds.plans.iter(), 2.0);
+        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, Some(&caps));
+        let ids: Vec<PlanId> = ds.plans.iter().map(|p| builder.admit(&p.root)).collect();
+        let want: Vec<f64> = ids.iter().map(|&id| builder.predict_root(id)).collect();
+        let before = crate::alloc::thread_alloc_count();
+        for (&id, w) in ids.iter().zip(&want) {
+            assert_eq!(builder.predict_root(id).to_bits(), w.to_bits());
+        }
+        let allocs = crate::alloc::thread_alloc_count() - before;
+        assert_eq!(allocs, 0, "warm resident predict must not allocate");
     }
 
     #[test]

@@ -42,7 +42,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// `ShardedStream` and a reference single `ProgramBuilder` in lockstep;
 /// at every predict point the sharded path (executed concurrently on the
 /// resident pool) must match the single builder bitwise at 1/2/4/8
-/// threads.
+/// threads. Each thread count drives its own sharded stream through the
+/// same op walk: a builder computes each row once, so on a shared stream
+/// only the first thread count would run anything.
 fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: bool) {
     let ds = Dataset::generate(workload, 1.0, 20, seed);
     let fz = Featurizer::new(&ds.catalog);
@@ -54,9 +56,14 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
     let caps_opt = clamped.then_some(&caps);
 
     let shards = 2 + (seed as usize % 2); // 2 or 3 shards
-    let mut sharded = ShardedStream::new(&fz, &wh, &units, &codec, caps_opt, shards, seed);
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
+    let mut streams: Vec<ShardedStream> = THREADS
+        .iter()
+        .map(|_| ShardedStream::new(&fz, &wh, &units, &codec, caps_opt, shards, seed))
+        .collect();
     let mut single = ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt);
-    // Parallel id handles: (sharded id, single-builder id).
+    // Parallel id handles: (sharded id, single-builder id); every sharded
+    // stream hands out the same ids for the same op walk.
     let mut resident: Vec<(PlanId, PlanId)> = Vec::new();
     let mut op_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED5);
 
@@ -68,15 +75,19 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
             0 => {
                 let pick = op_rng.gen_range(0..ds.plans.len());
                 let root = &ds.plans[pick].root;
-                resident.push((sharded.admit(root), single.admit(root)));
+                let ids: Vec<PlanId> = streams.iter_mut().map(|s| s.admit(root)).collect();
+                assert!(ids.iter().all(|&id| id == ids[0]));
+                resident.push((ids[0], single.admit(root)));
             }
             // Admit a small batch through the parallel admission path.
             1 => {
                 let roots: Vec<&PlanNode> = (0..op_rng.gen_range(1..4))
                     .map(|_| &ds.plans[op_rng.gen_range(0..ds.plans.len())].root)
                     .collect();
-                let sharded_ids = sharded.admit_batch(&roots, 4);
-                for (root, sid) in roots.iter().zip(sharded_ids) {
+                let batches: Vec<Vec<PlanId>> =
+                    streams.iter_mut().map(|s| s.admit_batch(&roots, 4)).collect();
+                assert!(batches.iter().all(|b| *b == batches[0]));
+                for (root, &sid) in roots.iter().zip(&batches[0]) {
                     resident.push((sid, single.admit(root)));
                 }
             }
@@ -84,14 +95,16 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
             2 if !resident.is_empty() => {
                 let victim = op_rng.gen_range(0..resident.len());
                 let (sid, bid) = resident.remove(victim);
-                sharded.retire(sid);
+                for s in &mut streams {
+                    s.retire(sid);
+                }
                 single.retire(bid);
             }
             // Concurrent predict across shards vs sequential single
             // builder, at every thread count.
             _ => {
                 let want = single.predict_roots();
-                for threads in [1usize, 2, 4, 8] {
+                for (sharded, threads) in streams.iter_mut().zip(THREADS) {
                     let got = sharded.predict_roots_threaded(threads);
                     assert_eq!(
                         bits(&got),
@@ -105,11 +118,13 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
         }
     }
     // Final checkpoint: batch view, per-plan roots and per-operator rows.
-    assert_eq!(sharded.len(), single.len());
-    assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots()));
-    for &(sid, bid) in &resident {
-        assert_eq!(sharded.predict_root(sid).to_bits(), single.predict_root(bid).to_bits());
-        assert_eq!(bits(&sharded.predict_all(sid)), bits(&single.predict_all(bid)));
+    for (sharded, threads) in streams.iter_mut().zip(THREADS) {
+        assert_eq!(sharded.len(), single.len());
+        assert_eq!(bits(&sharded.predict_roots_threaded(threads)), bits(&single.predict_roots()));
+        for &(sid, bid) in &resident {
+            assert_eq!(sharded.predict_root(sid).to_bits(), single.predict_root(bid).to_bits());
+            assert_eq!(bits(&sharded.predict_all(sid)), bits(&single.predict_all(bid)));
+        }
     }
 }
 
@@ -174,8 +189,12 @@ fn microbatch_flush_is_bit_identical_to_serving_each_request_alone() {
 /// executor's deadlock test): a shape mismatch that fires *inside
 /// resident worker threads* must poison the run — original payload
 /// re-raised on the caller — and must leave the process-wide pool
-/// serviceable: the same workers run the next 4-thread predict, whose
-/// bits still match single-threaded execution.
+/// serviceable: the same workers run the next 4-thread predicts — on a
+/// fresh compile and on a resident builder's stale-tail runner (a first
+/// run computes every row) — and their bits still match
+/// single-threaded execution. (That a poisoned *resident* run leaves its
+/// rows stale for the next predict to recompute is held by the
+/// `stream` unit tests, which can swap a builder's panels.)
 #[test]
 fn worker_panic_poisons_run_and_global_pool_survives() {
     let ds = Dataset::generate(Workload::TpcH, 1.0, 16, 5);
@@ -212,11 +231,18 @@ fn worker_panic_poisons_run_and_global_pool_survives() {
 
     // The resident pool survived the poisoned run: a fresh compile (the
     // poisoned program's buffers are in an undefined-but-memory-safe
-    // state) predicts on 4 workers with single-thread bits.
+    // state) and a resident builder predict on 4 workers with
+    // single-thread bits.
     let mut fresh = PlanProgram::compile(&fz, &wh, &units, &roots);
     let want = fresh.predict_roots(&units, &codec);
     let got = fresh.predict_roots_threaded(&units, &codec, 4);
     assert_eq!(bits(&got), bits(&want), "global pool unusable after a poisoned run");
+    let mut resident = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+    for root in &roots {
+        resident.admit(root);
+    }
+    let got = resident.predict_roots_threaded(4);
+    assert_eq!(bits(&got), bits(&want), "resident run after a poisoned run");
 }
 
 /// An idle pool must park, not spin: after a run drains, every resident

@@ -1,7 +1,7 @@
 //! Differential tests for the incremental serving engine: random
 //! admit/retire/predict interleavings through `ProgramBuilder` must
 //! produce predictions **bit-identical** to a fresh `PlanProgram::compile`
-//! of the same resident set — at 1 and 4 worker threads, unclamped and
+//! of the same resident set — at 1, 2 and 4 worker threads, unclamped and
 //! under the structural envelope.
 //!
 //! This is a stronger contract than the batch engine's cross-engine
@@ -34,7 +34,10 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Drives one random admit/retire/predict interleaving and, at every
 /// predict point, checks the builder against a fresh compile of exactly
-/// the resident set (in admission order) — bitwise, at 1 and 4 threads.
+/// the resident set (in admission order) — bitwise, at 1, 2 and 4 threads.
+/// Each thread count drives its own builder through the same op walk: a
+/// builder computes each row once, so a second predict on one builder
+/// would run nothing and leave the other thread count's runner untested.
 fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let ds = Dataset::generate(workload, 1.0, 20, seed);
     let fz = Featurizer::new(&ds.catalog);
@@ -47,8 +50,11 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let units = UnitSet::new(&QppConfig::tiny(), &fz, &mut rng);
     let caps_opt = clamped.then_some(&caps);
 
-    let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt);
-    // The reference resident set, in admission order (ids parallel).
+    const THREADS: [usize; 3] = [1, 2, 4];
+    let mut builders: Vec<ProgramBuilder> =
+        THREADS.iter().map(|_| ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt)).collect();
+    // The reference resident set, in admission order (ids parallel; every
+    // builder hands out the same ids for the same op walk).
     let mut resident: Vec<(PlanId, usize)> = Vec::new();
     let mut op_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED5);
 
@@ -59,21 +65,25 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
             // allowed — they are the CSE-heavy case).
             0 => {
                 let pick = op_rng.gen_range(0..ds.plans.len());
-                let id = builder.admit(&ds.plans[pick].root);
-                resident.push((id, pick));
+                let root = &ds.plans[pick].root;
+                let ids: Vec<PlanId> = builders.iter_mut().map(|b| b.admit(root)).collect();
+                assert!(ids.iter().all(|&id| id == ids[0]));
+                resident.push((ids[0], pick));
             }
             // Retire a random resident plan.
             1 if !resident.is_empty() => {
                 let victim = op_rng.gen_range(0..resident.len());
                 let (id, _) = resident.remove(victim);
-                builder.retire(id);
+                for b in &mut builders {
+                    b.retire(id);
+                }
             }
             // Predict and differentiate against a fresh compile.
             _ => {
                 let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
                 let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
                 let mut fresh = PlanProgram::compile(&fz, &wh, &units, &roots);
-                for threads in [1usize, 4] {
+                for (builder, threads) in builders.iter_mut().zip(THREADS) {
                     let want = match caps_opt {
                         Some(caps) => {
                             fresh.predict_roots_clamped_threaded(&units, &codec, caps, threads)
@@ -101,12 +111,14 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
         Some(caps) => fresh.predict_all_clamped(&units, &codec, caps),
         None => fresh.predict_all(&units, &codec),
     };
-    for (i, &(id, _)) in resident.iter().enumerate() {
-        assert_eq!(
-            bits(&builder.predict_all(id)),
-            bits(&want_all[i]),
-            "plan {i}: per-operator predictions diverged"
-        );
+    for builder in &mut builders {
+        for (i, &(id, _)) in resident.iter().enumerate() {
+            assert_eq!(
+                bits(&builder.predict_all(id)),
+                bits(&want_all[i]),
+                "plan {i}: per-operator predictions diverged"
+            );
+        }
     }
 }
 
