@@ -26,16 +26,15 @@
 //!   the offending client while the daemon keeps serving (the executor
 //!   contract already guarantees the worker pool itself survives panics).
 //! * **One request path** ([`scratch`], DESIGN.md §13): every line is
-//!   first offered to the scratch decoder. An eligible one-shot
-//!   `admit_predict` parses directly into per-connection scratch CSR
-//!   arrays, runs `ShardedStream::predict_oneshot` (whole-plan memo
-//!   first) without touching a builder, and replies from a reused buffer
-//!   in one write — zero heap allocations per request at steady state
-//!   (after a per-connection warmup window; measured by the
-//!   `steady_allocs` counter and a regression test). Anything the
-//!   scratch decoder cannot prove eligible is decoded by [`proto`], so
-//!   error replies come from exactly one code path; a one-shot decoded
-//!   there reaches the same `predict_oneshot` call.
+//!   decoded once, by the scratch decoder, straight into per-connection
+//!   CSR arrays, and `Server::serve` answers all six verbs from them:
+//!   admissions lower from that [`ScratchPlan`], and a one-shot
+//!   `admit_predict` runs `ShardedStream::predict_oneshot` (whole-plan
+//!   memo first) and replies from a reused buffer in one write — zero
+//!   heap allocations per request at steady state (after a
+//!   per-connection warmup window; measured by the `steady_allocs`
+//!   counter and a regression test). A line the decoder declines is one
+//!   [`proto`] rejects; [`proto`] only words its error reply.
 //! * **Why served bits equal in-process bits**: the wavefront kernels
 //!   are row-invariant and [`ShardedStream`] routing is content-hashed
 //!   (thread- and shard-count invariant), so any admit/retire/predict
@@ -61,8 +60,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::model::{QppNet, Tenants};
-use crate::stream::{PlanId, ScratchPlan};
+use crate::stream::{OneshotRun, PlanId, ScratchPlan};
 use qpp_plansim::plan::PlanNode;
+use scratch::Verb;
 
 pub use proto::{ErrorCode, ErrorReply, Request, Response, ServeStats};
 
@@ -251,10 +251,12 @@ pub mod proto {
         pub logical_nodes: u64,
         /// Physical feature rows after CSE, across all tenants.
         pub shared_rows: u64,
-        /// One-shot `admit_predict` replies served by the zero-allocation
-        /// fast path (scratch decode → one-shot run → hand-rolled reply).
+        /// Successful one-shot `admit_predict` replies: one-shot run →
+        /// hand-rolled, zero-allocation reply. Every accepted line is
+        /// scratch-decoded; only these count here.
         pub fast_path_predicted: u64,
-        /// Cumulative wall time decoding fast-path request lines (ns).
+        /// Cumulative wall time scratch-decoding the lines counted in
+        /// `fast_path_predicted` (ns).
         pub parse_ns: u64,
         /// Cumulative wall time featurizing fast-path plans (ns).
         pub featurize_ns: u64,
@@ -999,25 +1001,26 @@ impl Default for ServeConfig {
     }
 }
 
-/// Validates a plan tree's operator arities, the same check
-/// [`ProgramBuilder::admit`](crate::stream::ProgramBuilder::admit)
-/// enforces by panic. Run on every wire plan before it touches stream
-/// state, so a malformed plan costs one `invalid_plan` reply.
+/// Validates a plan tree's operator arities: the tree-side entry to
+/// [`ScratchPlan::check_arity`], which the request decoder runs on every
+/// plan before it can touch stream state. Words `invalid_plan` replies.
 pub fn validate_plan(plan: &PlanNode) -> Result<(), String> {
-    let mut bad = None;
-    plan.visit_postorder(&mut |n| {
-        if n.children.len() != n.op.kind().arity() && bad.is_none() {
-            bad = Some(format!(
-                "{:?} node with {} children (expected {})",
-                n.op.kind(),
-                n.children.len(),
-                n.op.kind().arity()
-            ));
+    ScratchPlan::from_tree(plan).check_arity()
+}
+
+/// The error reply to a line the scratch decoder declined: the oracle's,
+/// or `invalid_plan` for a plan the oracle reads whose arity is wrong.
+fn decline(line: &str) -> ErrorReply {
+    let why = match proto::decode_request(line) {
+        Err(e) => return e,
+        Ok(Request::Admit { plan, .. } | Request::AdmitPredict { plan, .. }) => {
+            validate_plan(&plan).err()
         }
-    });
-    match bad {
-        Some(why) => Err(why),
-        None => Ok(()),
+        Ok(_) => None,
+    };
+    match why {
+        Some(why) => ErrorReply::new(ErrorCode::InvalidPlan, why),
+        None => ErrorReply::new(ErrorCode::Internal, "request decoders disagree"),
     }
 }
 
@@ -1069,6 +1072,15 @@ struct FastStats {
     steady_allocs: AtomicU64,
 }
 
+/// What [`Server::serve`] produced for one decoded request.
+enum Served {
+    /// The reply to encode.
+    Reply(Response),
+    /// A successful one-shot `admit_predict`, for the zero-allocation
+    /// hand-rolled reply.
+    Oneshot(OneshotRun),
+}
+
 /// The serving daemon: owns registered models' resident streams and
 /// serves the [`proto`] protocol to any number of blocking clients.
 ///
@@ -1093,9 +1105,10 @@ pub struct Server<'m> {
     cfg: ServeConfig,
     state: Mutex<State<'m>>,
     fast: FastStats,
-    /// Request and error counts of every path, kept as atomics so that
-    /// counting a request never retakes the state lock. Folded into
-    /// [`ServeStats`] by the `stats` verb.
+    /// Connection, request and error counts, kept as atomics so that
+    /// counting never takes the state lock. Folded into [`ServeStats`] by
+    /// the `stats` verb.
+    connections: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
     shutdown: AtomicBool,
@@ -1118,6 +1131,7 @@ impl<'m> Server<'m> {
                 stats: proto::ServeStats::default(),
             }),
             fast: FastStats::default(),
+            connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -1164,7 +1178,7 @@ impl<'m> Server<'m> {
                 if self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                self.lock().stats.connections += 1;
+                self.connections.fetch_add(1, Ordering::Relaxed);
                 scope.spawn(move || self.handle(conn));
             }
             Ok(())
@@ -1202,98 +1216,125 @@ impl<'m> Server<'m> {
             };
             let reply = match event {
                 LineRef::Eof => return,
-                LineRef::TooLong => {
-                    self.count_request(true);
-                    Response::Error(ErrorReply::new(
-                        ErrorCode::LineTooLong,
-                        format!("line exceeded {} bytes and was discarded", self.cfg.max_line),
-                    ))
-                }
+                LineRef::TooLong => Response::Error(ErrorReply::new(
+                    ErrorCode::LineTooLong,
+                    format!("line exceeded {} bytes and was discarded", self.cfg.max_line),
+                )),
+                LineRef::Line(line) if line.trim().is_empty() => continue,
                 LineRef::Line(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if self.try_fast_path(line, &mut scratch, &mut out) {
-                        if conn.write_all(&out).is_err() {
-                            return;
-                        }
-                        fast_served += 1;
-                        if fast_served > FAST_WARMUP {
-                            let delta = crate::alloc::thread_alloc_count() - allocs0;
-                            self.fast.steady_allocs.fetch_add(delta, Ordering::Relaxed);
-                        }
-                        continue;
-                    }
-                    match proto::decode_request(line) {
-                        Err(rep) => {
-                            self.count_request(true);
-                            Response::Error(rep)
-                        }
-                        Ok(req) => {
-                            let is_shutdown = matches!(req, Request::Shutdown);
-                            let resp = self.dispatch(req);
-                            self.count_request(matches!(resp, Response::Error(_)));
-                            if write_reply(&mut conn, &resp, &mut out).is_err() {
-                                return;
+                    let t0 = Instant::now();
+                    match scratch.decode(line) {
+                        scratch::FastDecode::Ready { verb, tenant } => {
+                            let parse_ns = t0.elapsed().as_nanos() as u64;
+                            match self.serve(verb, tenant, scratch.plan()) {
+                                Served::Reply(resp) => resp,
+                                Served::Oneshot(run) => {
+                                    self.write_oneshot(&run, parse_ns, &mut out);
+                                    if conn.write_all(&out).is_err() {
+                                        return;
+                                    }
+                                    fast_served += 1;
+                                    if fast_served > FAST_WARMUP {
+                                        let delta = crate::alloc::thread_alloc_count() - allocs0;
+                                        self.fast.steady_allocs.fetch_add(delta, Ordering::Relaxed);
+                                    }
+                                    continue;
+                                }
                             }
-                            if is_shutdown {
-                                self.request_shutdown();
-                            }
-                            continue;
                         }
+                        scratch::FastDecode::Fallback => Response::Error(decline(line)),
                     }
                 }
             };
+            self.count_request(matches!(reply, Response::Error(_)));
             if write_reply(&mut conn, &reply, &mut out).is_err() {
                 return;
+            }
+            if matches!(reply, Response::Bye) {
+                self.request_shutdown();
             }
         }
     }
 
-    /// Attempts the zero-allocation fast path on one request line. On
-    /// success the complete reply line (newline included) is in `out`.
-    /// Any ineligibility — decode fallback, unknown tenant, no
-    /// registered models, non-finite prediction, panicked run — returns
-    /// `false` *without* replying, and the caller re-runs the line
-    /// through the oracle decoder so every error reply stays
-    /// byte-identical to the slow path.
-    fn try_fast_path(
-        &self,
-        line: &str,
-        scratch: &mut scratch::RequestScratch,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        let t0 = Instant::now();
-        let tenant = match scratch.decode(line) {
-            scratch::FastDecode::Ready { tenant } => tenant,
-            scratch::FastDecode::Fallback => return false,
+    /// Serves one decoded request from the connection's `plan`, under at
+    /// most one state-lock acquisition.
+    fn serve(&self, verb: Verb, tenant: Option<u64>, plan: &ScratchPlan) -> Served {
+        let error = |code, msg: String| Served::Reply(Response::Error(ErrorReply::new(code, msg)));
+        let panicked =
+            || error(ErrorCode::Internal, "admit_predict run panicked; request rejected".into());
+        let non_finite =
+            |l: f64| error(ErrorCode::Internal, format!("prediction is not a finite number: {l}"));
+        // The plan verbs remain: `None` is `admit`, `Some(keep)` is
+        // `admit_predict`.
+        let keep = match verb {
+            Verb::Retire { id } => return Served::Reply(self.do_retire(id)),
+            Verb::Predict { id } => return Served::Reply(self.do_predict(id)),
+            Verb::Stats => return Served::Reply(self.do_stats()),
+            Verb::Shutdown => return Served::Reply(Response::Bye),
+            Verb::Admit => None,
+            Verb::AdmitPredict { keep } => Some(keep),
         };
-        let parse_ns = t0.elapsed().as_nanos() as u64;
-        let run = {
-            let mut st = self.lock();
-            let st = &mut *st;
-            let Some(fp) = tenant.or(st.default_fp) else {
-                return false;
-            };
-            let Some(stream) = st.tenants.stream(fp) else {
-                return false;
-            };
-            let plan = scratch.plan();
+        let threads = self.cfg.threads;
+        let mut st = self.lock();
+        let fp = match Self::resolve_fp(&st, tenant) {
+            Ok(fp) => fp,
+            Err(e) => return Served::Reply(Response::Error(e)),
+        };
+        let st = &mut *st;
+        let stream = st.tenants.stream(fp).expect("resolved fingerprint is registered");
+        if keep == Some(false) {
             let Ok(run) = catch_unwind(AssertUnwindSafe(|| stream.predict_oneshot(plan))) else {
-                return false;
+                return panicked();
             };
             if !run.latency_ms.is_finite() {
-                // Let the general path produce the error reply.
-                return false;
+                return non_finite(run.latency_ms);
             }
             st.stats.admitted += 1;
             st.stats.predicted += 1;
             st.stats.retired += 1;
-            run
+            return Served::Oneshot(run);
+        }
+        let Ok(pid) = catch_unwind(AssertUnwindSafe(|| stream.admit_lowered(plan))) else {
+            return match keep {
+                None => error(
+                    ErrorCode::Internal,
+                    "admission panicked; plan rejected, stream state unchanged".into(),
+                ),
+                Some(_) => panicked(),
+            };
         };
-        // Hand-rolled reply, field order matching the oracle encoder's
-        // BTreeMap (alphabetical) serialization of
-        // `Response::Predicted { id: None, .. }`.
+        let latency_ms = match keep {
+            None => None,
+            Some(_) => {
+                match catch_unwind(AssertUnwindSafe(|| stream.predict_root_threaded(pid, threads)))
+                {
+                    Ok(l) if l.is_finite() => Some(l),
+                    // No session will name the plan: retire it here.
+                    run => {
+                        let _ = catch_unwind(AssertUnwindSafe(|| stream.retire(pid)));
+                        return run.map_or_else(|_| panicked(), non_finite);
+                    }
+                }
+            }
+        };
+        let wire = st.next_id;
+        st.next_id += 1;
+        st.sessions.insert(wire, (fp, pid));
+        st.stats.admitted += 1;
+        Served::Reply(match latency_ms {
+            None => Response::Admitted { id: wire },
+            Some(latency_ms) => {
+                st.stats.predicted += 1;
+                Response::Predicted { id: Some(wire), latency_ms }
+            }
+        })
+    }
+
+    /// Writes a one-shot reply line into `out` by hand — field order
+    /// matching the oracle encoder's BTreeMap (alphabetical)
+    /// serialization of `Response::Predicted { id: None, .. }` — and folds
+    /// the request into the fast-path counters.
+    fn write_oneshot(&self, run: &OneshotRun, parse_ns: u64, out: &mut Vec<u8>) {
         let t1 = Instant::now();
         out.clear();
         out.extend_from_slice(b"{\"latency_ms\":");
@@ -1308,7 +1349,6 @@ impl<'m> Server<'m> {
         self.fast.featurize_ns.fetch_add(run.featurize_ns, Ordering::Relaxed);
         self.fast.run_ns.fetch_add(run.run_ns, Ordering::Relaxed);
         self.fast.serialize_ns.fetch_add(serialize_ns, Ordering::Relaxed);
-        true
     }
 
     fn count_request(&self, is_error: bool) {
@@ -1318,54 +1358,14 @@ impl<'m> Server<'m> {
         }
     }
 
-    fn dispatch(&self, req: Request) -> Response {
-        match req {
-            Request::Admit { plan, tenant } => self.do_admit(plan, tenant),
-            Request::Retire { id } => self.do_retire(id),
-            Request::Predict { id } => self.do_predict(id),
-            Request::AdmitPredict { plan, keep, tenant } => {
-                self.do_admit_predict(plan, keep, tenant)
-            }
-            Request::Stats => self.do_stats(),
-            Request::Shutdown => Response::Bye,
-        }
-    }
-
     fn resolve_fp(st: &State<'m>, tenant: Option<u64>) -> Result<u64, ErrorReply> {
         match tenant.or(st.default_fp) {
-            Some(fp) if st.tenants.fingerprints().contains(&fp) => Ok(fp),
+            Some(fp) if st.tenants.iter().any(|(known, _)| known == fp) => Ok(fp),
             Some(fp) => Err(ErrorReply::new(
                 ErrorCode::UnknownTenant,
                 format!("no tenant with fingerprint {fp:016x}"),
             )),
             None => Err(ErrorReply::new(ErrorCode::UnknownTenant, "no models registered")),
-        }
-    }
-
-    fn do_admit(&self, plan: Box<PlanNode>, tenant: Option<u64>) -> Response {
-        if let Err(why) = validate_plan(&plan) {
-            return Response::Error(ErrorReply::new(ErrorCode::InvalidPlan, why));
-        }
-        let mut st = self.lock();
-        let fp = match Self::resolve_fp(&st, tenant) {
-            Ok(fp) => fp,
-            Err(e) => return Response::Error(e),
-        };
-        let st = &mut *st;
-        let stream = st.tenants.stream(fp).expect("resolved fingerprint is registered");
-        let admitted = catch_unwind(AssertUnwindSafe(|| stream.admit(&plan)));
-        match admitted {
-            Ok(pid) => {
-                let wire = st.next_id;
-                st.next_id += 1;
-                st.sessions.insert(wire, (fp, pid));
-                st.stats.admitted += 1;
-                Response::Admitted { id: wire }
-            }
-            Err(_) => Response::Error(ErrorReply::new(
-                ErrorCode::Internal,
-                "admission panicked; plan rejected, stream state unchanged",
-            )),
         }
     }
 
@@ -1414,61 +1414,6 @@ impl<'m> Server<'m> {
         }
     }
 
-    /// `admit_predict` decoded by the general decoder: a kept plan is
-    /// admitted and predicted as a resident plan, a one-shot goes through
-    /// the same [`ShardedStream::predict_oneshot`](crate::stream::ShardedStream::predict_oneshot)
-    /// call as the fast path.
-    fn do_admit_predict(&self, plan: Box<PlanNode>, keep: bool, tenant: Option<u64>) -> Response {
-        if let Err(why) = validate_plan(&plan) {
-            return Response::Error(ErrorReply::new(ErrorCode::InvalidPlan, why));
-        }
-        let mut st = self.lock();
-        let fp = match Self::resolve_fp(&st, tenant) {
-            Ok(fp) => fp,
-            Err(e) => return Response::Error(e),
-        };
-        let threads = self.cfg.threads;
-        let st = &mut *st;
-        let stream = st.tenants.stream(fp).expect("resolved fingerprint is registered");
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if keep {
-                let pid = stream.admit(&plan);
-                (Some(pid), stream.predict_root_threaded(pid, threads))
-            } else {
-                let mut sp = ScratchPlan::new();
-                sp.rebuild_from_tree(&plan);
-                (None, stream.predict_oneshot(&sp).latency_ms)
-            }
-        }));
-        let Ok((pid, latency_ms)) = run else {
-            return Response::Error(ErrorReply::new(
-                ErrorCode::Internal,
-                "admit_predict run panicked; request rejected",
-            ));
-        };
-        if !latency_ms.is_finite() {
-            if let Some(pid) = pid {
-                let _ = catch_unwind(AssertUnwindSafe(|| stream.retire(pid)));
-            }
-            return Response::Error(ErrorReply::new(
-                ErrorCode::Internal,
-                format!("prediction is not a finite number: {latency_ms}"),
-            ));
-        }
-        st.stats.admitted += 1;
-        st.stats.predicted += 1;
-        let id = pid.map(|pid| {
-            let wire = st.next_id;
-            st.next_id += 1;
-            st.sessions.insert(wire, (fp, pid));
-            wire
-        });
-        if id.is_none() {
-            st.stats.retired += 1;
-        }
-        Response::Predicted { id, latency_ms }
-    }
-
     fn do_stats(&self) -> Response {
         let st = self.lock();
         let mut stats = st.stats;
@@ -1484,6 +1429,7 @@ impl<'m> Server<'m> {
             stats.cache_entries += ps.pred_cache_entries as u64;
             stats.cache_hit_ns += ps.pred_cache_hit_ns;
         }
+        stats.connections = self.connections.load(Ordering::Relaxed);
         stats.requests = self.requests.load(Ordering::Relaxed);
         stats.errors = self.errors.load(Ordering::Relaxed);
         stats.fast_path_predicted = self.fast.predicted.load(Ordering::Relaxed);

@@ -1,29 +1,31 @@
 //! Scratch-backed wire decoder: request line → lowering-ready CSR, no `Value` tree.
 //!
-//! The slow path decodes a request in three allocating passes: the vendored
+//! The reference decoder takes three allocating passes: the vendored
 //! `serde_json` parser builds a `Value` tree (one `String`/`Vec`/`BTreeMap`
 //! per node), `from_value::<PlanNode>` rebuilds a plan *tree* from it, and
-//! the stream layer then lowers that tree into CSR arrays. This module fuses
+//! lowering turns that tree into CSR arrays. This module fuses
 //! all three: [`RequestScratch::decode`] parses the JSON bytes in one pass
 //! directly into a reusable [`ScratchPlan`] (post-order nodes + CSR
 //! children), using per-connection buffers that reach a steady-state
 //! capacity and never allocate again.
 //!
-//! **Contract — fallback, not error parity.** The fast decoder recognises
-//! exactly one shape: a fully valid, protocol-v1 `admit_predict` request
-//! with `keep` absent or `false` and a plan whose operators all have their
-//! required arity. On that shape it returns [`FastDecode::Ready`] and the
-//! request is *guaranteed* to decode to the same plan (bit-for-bit node
-//! content, identical CSR and shard hash) as the recursive oracle
-//! ([`proto::parse_guarded`](super::proto::parse_guarded) +
-//! `from_value::<PlanNode>`). On *anything* else — malformed JSON, a
-//! different verb, `keep:true`, a bad tenant, an arity violation, nesting
-//! beyond [`super::MAX_NESTING_DEPTH`] — it returns
-//! [`FastDecode::Fallback`] and the caller re-runs the oracle path, which
-//! produces byte-exact error replies. The decoder therefore never needs to
-//! replicate error *messages*, but it must replicate the oracle's **accept
-//! set** exactly, or a request the oracle would reject could be served (or
-//! vice versa). `tests/serve_scratch.rs` proptests that equivalence.
+//! **Contract — the daemon's only decoder.** [`RequestScratch::decode`]
+//! returns [`FastDecode::Ready`] exactly on the lines the recursive oracle
+//! ([`proto::decode_request`](super::proto::decode_request)) accepts and
+//! whose plan, on a plan-carrying verb, passes
+//! [`ScratchPlan::check_arity`]: every v1 verb, `keep` true or false,
+//! decimal-string ids, a hex `tenant` on any verb. `Ready` carries the
+//! same verb, id and tenant as the oracle, and the plan in
+//! [`RequestScratch::plan`] is the oracle's plan lowered (bit-for-bit node
+//! content, identical CSR and shard hash). On everything else — malformed
+//! JSON, an unknown verb, a numeric id, a bad tenant, nesting beyond
+//! [`super::MAX_NESTING_DEPTH`], an arity violation — it returns
+//! [`FastDecode::Fallback`], and the daemon runs the oracle only to word
+//! the error reply. The decoder therefore never replicates error
+//! *messages*, but it must replicate the oracle's **accept set** exactly
+//! in both directions: `tests/serve_scratch.rs` proptests that `Ready`
+//! implies the oracle accepts the same request and that `Fallback`
+//! implies it rejects the line or the plan fails the arity check.
 //!
 //! Replicating the accept set means replicating two vendored layers:
 //!
@@ -60,17 +62,48 @@ use qpp_plansim::plan::{NodeActual, NodeEst, PlanNode};
 use super::proto::VERSION;
 use super::MAX_NESTING_DEPTH;
 
-/// Outcome of a fast decode attempt over one request line.
+/// A request verb accepted by [`RequestScratch::decode`], with the
+/// fields the oracle's [`Request`](super::proto::Request) carries beside
+/// the plan and tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// `admit`: the plan is in [`RequestScratch::plan`].
+    Admit,
+    /// `retire` of a wire id.
+    Retire {
+        /// Wire id returned by a prior `admit`.
+        id: u64,
+    },
+    /// `predict` of a wire id.
+    Predict {
+        /// Wire id returned by a prior `admit`.
+        id: u64,
+    },
+    /// `admit_predict`: the plan is in [`RequestScratch::plan`].
+    AdmitPredict {
+        /// Keep the plan resident (`keep` absent reads as `false`).
+        keep: bool,
+    },
+    /// `stats`.
+    Stats,
+    /// `shutdown`.
+    Shutdown,
+}
+
+/// Outcome of decoding one request line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastDecode {
-    /// A fully valid one-shot `admit_predict` (`keep:false`) request; the
-    /// decoded plan is in [`RequestScratch::plan`], sealed and arity-checked.
+    /// A valid v1 request the oracle accepts with the same verb, id and
+    /// tenant. A plan-carrying verb's plan is in [`RequestScratch::plan`],
+    /// sealed and arity-checked.
     Ready {
+        /// The verb, with its wire id where it has one.
+        verb: Verb,
         /// Explicit tenant fingerprint, if the request named one.
         tenant: Option<u64>,
     },
-    /// Anything else; the caller must re-run the recursive oracle path
-    /// (which also produces the byte-exact error reply when one is due).
+    /// A line the oracle rejects, or a plan of bad arity; run the oracle
+    /// to word the error reply.
     Fallback,
 }
 
@@ -97,12 +130,8 @@ impl RequestScratch {
         &self.plan
     }
 
-    /// Attempts the zero-allocation decode of one request line.
-    ///
-    /// Returns [`FastDecode::Ready`] only when the line is a completely
-    /// valid v1 `admit_predict` request with `keep` false/absent and a
-    /// plan that passes the arity check; see the module docs for the
-    /// fallback contract.
+    /// Decodes one request line without allocating (once warm); see the
+    /// module docs for the contract.
     pub fn decode(&mut self, line: &str) -> FastDecode {
         self.plan.clear();
         self.kid_stack.clear();
@@ -121,13 +150,13 @@ impl RequestScratch {
             p.request()
         };
         match outcome {
-            Ok(Some(tenant)) => {
+            Ok(Some((verb, tenant))) => {
                 self.plan.seal();
-                if self.plan.arity_ok() {
-                    FastDecode::Ready { tenant }
-                } else {
-                    FastDecode::Fallback
+                let has_plan = matches!(verb, Verb::Admit | Verb::AdmitPredict { .. });
+                if has_plan && self.plan.check_arity().is_err() {
+                    return FastDecode::Fallback;
                 }
+                FastDecode::Ready { verb, tenant }
             }
             _ => FastDecode::Fallback,
         }
@@ -460,10 +489,11 @@ impl Fp<'_, '_> {
         })
     }
 
-    /// Unit-only enum: a bare string matched against the variant names.
-    /// Any other shape (including the object form, whose payload arms are
-    /// all empty for unit-only enums) is a semantic error.
-    fn unit_enum<T>(&mut self, lookup: fn(&str) -> Option<T>) -> PR<Sem<T>> {
+    /// A string value mapped through `lookup`: unit-only enum variants,
+    /// verbs, decimal ids and hex fingerprints. `lookup` failing, or any
+    /// non-string shape (including the object form, whose payload arms
+    /// are all empty for unit-only enums), is a semantic error.
+    fn string_with<T>(&mut self, lookup: fn(&str) -> Option<T>) -> PR<Sem<T>> {
         match self.peek() {
             Some(b'"') => {
                 self.string_value()?;
@@ -747,7 +777,7 @@ impl Fp<'_, '_> {
             |p, f| {
                 match f {
                     0 => {
-                        algo = Some(p.unit_enum(|s| match s {
+                        algo = Some(p.string_with(|s| match s {
                             "NestedLoop" => Some(JoinAlgorithm::NestedLoop),
                             "Hash" => Some(JoinAlgorithm::Hash),
                             "Merge" => Some(JoinAlgorithm::Merge),
@@ -755,7 +785,7 @@ impl Fp<'_, '_> {
                         })?)
                     }
                     1 => {
-                        jtype = Some(p.unit_enum(|s| match s {
+                        jtype = Some(p.string_with(|s| match s {
                             "Inner" => Some(JoinType::Inner),
                             "Semi" => Some(JoinType::Semi),
                             "Anti" => Some(JoinType::Anti),
@@ -764,7 +794,7 @@ impl Fp<'_, '_> {
                         })?)
                     }
                     2 => {
-                        parent_rel = Some(p.unit_enum(|s| match s {
+                        parent_rel = Some(p.string_with(|s| match s {
                             "None" => Some(ParentRel::None),
                             "Inner" => Some(ParentRel::Inner),
                             "Outer" => Some(ParentRel::Outer),
@@ -802,7 +832,7 @@ impl Fp<'_, '_> {
                 match f {
                     0 => buckets = Some(p.sem_f64()?),
                     1 => {
-                        algo = Some(p.unit_enum(|s| match s {
+                        algo = Some(p.string_with(|s| match s {
                             "Linear" => Some(HashAlgorithm::Linear),
                             "Chained" => Some(HashAlgorithm::Chained),
                             _ => None,
@@ -838,7 +868,7 @@ impl Fp<'_, '_> {
                 match f {
                     0 => key = Some(p.sem_usize()?),
                     1 => {
-                        method = Some(p.unit_enum(|s| match s {
+                        method = Some(p.string_with(|s| match s {
                             "Quicksort" => Some(SortMethod::Quicksort),
                             "TopN" => Some(SortMethod::TopN),
                             "External" => Some(SortMethod::External),
@@ -876,7 +906,7 @@ impl Fp<'_, '_> {
             |p, f| {
                 match f {
                     0 => {
-                        strategy = Some(p.unit_enum(|s| match s {
+                        strategy = Some(p.string_with(|s| match s {
                             "Plain" => Some(AggStrategy::Plain),
                             "Sorted" => Some(AggStrategy::Sorted),
                             "Hashed" => Some(AggStrategy::Hashed),
@@ -885,7 +915,7 @@ impl Fp<'_, '_> {
                     }
                     1 => partial = Some(p.sem_bool()?),
                     2 => {
-                        op = Some(p.unit_enum(|s| match s {
+                        op = Some(p.string_with(|s| match s {
                             "Count" => Some(AggOp::Count),
                             "Sum" => Some(AggOp::Sum),
                             "Avg" => Some(AggOp::Avg),
@@ -1143,116 +1173,95 @@ impl Fp<'_, '_> {
 
     // --- request envelope -----------------------------------------------
 
-    /// `op` must be the string `"admit_predict"`; any other verb is
-    /// ineligible for the fast path (not an error — the oracle handles it).
-    fn op_verb(&mut self) -> PR<Sem<bool>> {
-        match self.peek() {
-            Some(b'"') => {
-                self.string_value()?;
-                Ok(Sem::Good(self.str_buf.as_str() == "admit_predict"))
-            }
-            _ => {
-                self.skip_value()?;
-                Ok(Sem::Bad)
-            }
-        }
-    }
-
-    /// Tenant fingerprints cross the wire as hex strings; replicate
-    /// `decode_fingerprint` exactly (`u64::from_str_radix(s, 16)`).
-    fn tenant(&mut self) -> PR<Sem<u64>> {
-        match self.peek() {
-            Some(b'"') => {
-                self.string_value()?;
-                Ok(match u64::from_str_radix(self.str_buf.as_str(), 16) {
-                    Ok(fp) => Sem::Good(fp),
-                    Err(_) => Sem::Bad,
-                })
-            }
-            _ => {
-                self.skip_value()?;
-                Ok(Sem::Bad)
-            }
-        }
-    }
-
-    /// Parses the whole request line. `Ok(Some(tenant))` = eligible and
-    /// fully valid (plan in scratch, unsealed); `Ok(None)` = structurally
-    /// valid but ineligible; `Err` = structural error. The latter two are
-    /// indistinguishable to the caller — both fall back.
-    fn request(&mut self) -> PR<Option<Option<u64>>> {
+    /// Parses the whole request line, replicating `proto::decode_request`:
+    /// `v` must be 1, `tenant` (on every verb) a hex fingerprint, `op` a
+    /// known verb; `retire`/`predict` need a decimal-string `id`,
+    /// `admit`/`admit_predict` a plan, and `keep` (read by
+    /// `admit_predict` only) must be a bool when present. Keys a verb
+    /// does not read may hold any JSON. `Ok(Some(..))` = valid (plan in
+    /// scratch, unsealed); `Ok(None)` = structurally valid but rejected;
+    /// `Err` = structural error. The caller falls back on both.
+    fn request(&mut self) -> PR<Option<(Verb, Option<u64>)>> {
         self.skip_ws();
         if self.peek() != Some(b'{') {
             return Ok(None);
         }
         let mut v: Option<Sem<f64>> = None;
-        let mut op: Option<Sem<bool>> = None;
+        let mut op: Option<Sem<Verb>> = None;
         let mut keep: Option<Sem<bool>> = None;
         let mut tenant: Option<Sem<u64>> = None;
+        let mut id: Option<Sem<u64>> = None;
         let mut plan: Option<Sem<usize>> = None;
-        self.open()?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-        } else {
-            loop {
-                self.skip_ws();
-                self.key()?;
-                let f = match self.key_buf.as_str() {
-                    "v" => 0,
-                    "op" => 1,
-                    "keep" => 2,
-                    "tenant" => 3,
-                    "plan" => 4,
-                    _ => usize::MAX,
-                };
-                self.skip_ws();
-                if self.peek() != Some(b':') {
-                    return Err(Reject);
-                }
-                self.pos += 1;
-                self.skip_ws();
+        self.fields(
+            |k| match k {
+                "v" => 0,
+                "op" => 1,
+                "keep" => 2,
+                "tenant" => 3,
+                "id" => 4,
+                "plan" => 5,
+                _ => usize::MAX,
+            },
+            |p, f| {
                 match f {
-                    0 => v = Some(self.sem_f64()?),
-                    1 => op = Some(self.op_verb()?),
-                    2 => keep = Some(self.sem_bool()?),
-                    3 => tenant = Some(self.tenant()?),
-                    4 => {
+                    0 => v = Some(p.sem_f64()?),
+                    // Verbs carry placeholder ids and `keep`; the real
+                    // values are filled in once every key is read.
+                    1 => {
+                        op = Some(p.string_with(|s| {
+                            Some(match s {
+                                "admit" => Verb::Admit,
+                                "retire" => Verb::Retire { id: 0 },
+                                "predict" => Verb::Predict { id: 0 },
+                                "admit_predict" => Verb::AdmitPredict { keep: false },
+                                "stats" => Verb::Stats,
+                                "shutdown" => Verb::Shutdown,
+                                _ => return None,
+                            })
+                        })?)
+                    }
+                    2 => keep = Some(p.sem_bool()?),
+                    3 => tenant = Some(p.string_with(|s| u64::from_str_radix(s, 16).ok())?),
+                    4 => id = Some(p.string_with(|s| s.parse::<u64>().ok())?),
+                    5 => {
                         // Last-wins for duplicate `plan` keys: the scratch
                         // holds only this occurrence's nodes.
-                        self.sp.clear();
-                        self.kids.clear();
-                        plan = Some(self.plan_node()?);
+                        p.sp.clear();
+                        p.kids.clear();
+                        plan = Some(p.plan_node()?);
                     }
-                    _ => self.skip_value()?,
+                    _ => p.skip_value()?,
                 }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        self.depth -= 1;
-                        break;
-                    }
-                    _ => return Err(Reject),
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(Reject);
         }
-        let ten = match tenant {
+        let tenant = match tenant {
             None => None,
             Some(Sem::Good(fp)) => Some(fp),
             Some(Sem::Bad) => return Ok(None),
         };
-        let eligible = matches!(v, Some(Sem::Good(x)) if x == VERSION as f64)
-            && matches!(op, Some(Sem::Good(true)))
-            && matches!(keep, None | Some(Sem::Good(false)))
-            && matches!(plan, Some(Sem::Good(_)));
-        Ok(if eligible { Some(ten) } else { None })
+        if !matches!(v, Some(Sem::Good(x)) if x == VERSION as f64) {
+            return Ok(None);
+        }
+        let has_plan = matches!(plan, Some(Sem::Good(_)));
+        let verb = match (op, id, keep) {
+            (Some(Sem::Good(Verb::Retire { .. })), Some(Sem::Good(id)), _) => Verb::Retire { id },
+            (Some(Sem::Good(Verb::Predict { .. })), Some(Sem::Good(id)), _) => Verb::Predict { id },
+            (Some(Sem::Good(Verb::AdmitPredict { .. })), _, None) if has_plan => {
+                Verb::AdmitPredict { keep: false }
+            }
+            (Some(Sem::Good(Verb::AdmitPredict { .. })), _, Some(Sem::Good(keep))) if has_plan => {
+                Verb::AdmitPredict { keep }
+            }
+            (Some(Sem::Good(verb @ Verb::Admit)), ..) if has_plan => verb,
+            (Some(Sem::Good(verb @ (Verb::Stats | Verb::Shutdown))), ..) => verb,
+            _ => return Ok(None),
+        };
+        Ok(Some((verb, tenant)))
     }
 }
 
@@ -1304,26 +1313,49 @@ mod tests {
         }
     }
 
-    /// Request lines: `Ready` must coincide with "oracle decodes an
-    /// eligible one-shot admit_predict whose plan passes the arity check",
-    /// and the decoded plan/tenant must match.
+    /// The tenant the oracle reads from an accepted line, on any verb.
+    fn oracle_tenant(line: &str) -> Option<u64> {
+        let v = proto::parse_guarded(line).expect("the oracle accepted the line");
+        let tenant = v.as_object().expect("requests are objects").get("tenant");
+        tenant.map(|t| proto::decode_fingerprint(t).expect("the oracle accepted the tenant"))
+    }
+
+    /// Request lines: `Ready` must coincide with the oracle accepting the
+    /// line (and its plan passing the arity check), with the same verb,
+    /// id and tenant, and a plan-carrying verb's scratch plan must equal
+    /// the lowering of the oracle's tree.
     fn check_line(rs: &mut RequestScratch, line: &str) {
-        let fast = rs.decode(line);
-        let oracle = proto::decode_request(line);
-        match (fast, oracle) {
+        match (rs.decode(line), proto::decode_request(line)) {
+            (FastDecode::Ready { verb, tenant }, Ok(req)) => {
+                assert_eq!(tenant, oracle_tenant(line), "tenant diverged on {line}");
+                let plan = match (verb, req) {
+                    (Verb::Admit, Request::Admit { plan, .. }) => Some(plan),
+                    (Verb::AdmitPredict { keep }, Request::AdmitPredict { plan, keep: k, .. }) => {
+                        assert_eq!(keep, k, "keep diverged on {line}");
+                        Some(plan)
+                    }
+                    (Verb::Retire { id }, Request::Retire { id: want })
+                    | (Verb::Predict { id }, Request::Predict { id: want }) => {
+                        assert_eq!(id, want, "id diverged on {line}");
+                        None
+                    }
+                    (Verb::Stats, Request::Stats) | (Verb::Shutdown, Request::Shutdown) => None,
+                    (verb, req) => panic!("verb diverged on {line}: {verb:?} vs {req:?}"),
+                };
+                if let Some(plan) = plan {
+                    assert!(
+                        super::super::validate_plan(&plan).is_ok(),
+                        "arity gate leaked: {line}"
+                    );
+                    assert_scratch_eq(rs.plan(), &plan, line);
+                }
+            }
+            (FastDecode::Fallback, Err(_)) => {}
             (
-                FastDecode::Ready { tenant },
-                Ok(Request::AdmitPredict { plan, keep, tenant: want_tenant }),
-            ) => {
-                assert!(!keep, "fast path must never accept keep:true: {line}");
-                assert_eq!(tenant, want_tenant, "tenant diverged on {line}");
-                assert!(super::super::validate_plan(&plan).is_ok(), "arity gate leaked: {line}");
-                assert_scratch_eq(rs.plan(), &plan, line);
-            }
-            (FastDecode::Ready { .. }, other) => {
-                panic!("fast decoder accepted a line the oracle rejects: {line} ({other:?})")
-            }
-            (FastDecode::Fallback, _) => {} // fallback is always safe
+                FastDecode::Fallback,
+                Ok(Request::Admit { plan, .. } | Request::AdmitPredict { plan, .. }),
+            ) if super::super::validate_plan(&plan).is_err() => {}
+            (fast, oracle) => panic!("decoders disagree on {line}: {fast:?} vs {oracle:?}"),
         }
     }
 
@@ -1349,9 +1381,11 @@ mod tests {
                 keep: false,
                 tenant: None,
             });
-            assert!(
-                matches!(rs.decode(&line), FastDecode::Ready { tenant: None }),
-                "wire round-trip must take the fast path"
+            let oneshot = Verb::AdmitPredict { keep: false };
+            assert_eq!(
+                rs.decode(&line),
+                FastDecode::Ready { verb: oneshot, tenant: None },
+                "a wire round trip must decode"
             );
             assert_scratch_eq(rs.plan(), &plan.root, &line);
             check_line(&mut rs, &line);
@@ -1362,29 +1396,66 @@ mod tests {
     fn request_envelope_gates_eligibility() {
         let plan_doc = wrap_filter(leaf());
         let mut rs = RequestScratch::new();
-        // Valid with explicit tenant, odd key order, unknown keys, ws.
-        let line = format!(
-            " {{ \"tenant\" : \"00ff\" , \"plan\" : {plan_doc}, \"x_unknown\": [1, {{}}], \"op\": \"admit_predict\", \"v\": 1 }} "
-        );
-        assert_eq!(rs.decode(&line), FastDecode::Ready { tenant: Some(0xff) });
-        check_line(&mut rs, &line);
-        // Each of these must fall back (wrong verb / version / keep /
-        // tenant / missing plan), even though some are valid requests.
-        for line in [
-            format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"keep":true}}"#),
-            format!(r#"{{"v":1,"op":"admit","plan":{plan_doc}}}"#),
-            format!(r#"{{"v":2,"op":"admit_predict","plan":{plan_doc}}}"#),
-            format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"tenant":"zz"}}"#),
-            format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"tenant":null}}"#),
-            format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"keep":1}}"#),
-            format!(r#"{{"op":"admit_predict","plan":{plan_doc}}}"#),
-            r#"{"v":1,"op":"stats"}"#.to_string(),
-            r#"{"v":1,"op":"admit_predict"}"#.to_string(),
-            format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc}}} trailing"#),
-            format!(r#"[{{"v":1,"op":"admit_predict","plan":{plan_doc}}}]"#),
-            String::new(),
+        let ready = |verb, tenant| FastDecode::Ready { verb, tenant };
+        let oneshot = Verb::AdmitPredict { keep: false };
+        // Each line with the decode the oracle's accept set demands.
+        for (line, want) in [
+            // Explicit tenant, odd key order, unknown keys, whitespace.
+            (
+                format!(" {{ \"tenant\" : \"00ff\" , \"plan\" : {plan_doc}, \"x_unknown\": [1, {{}}], \"op\": \"admit_predict\", \"v\": 1 }} "),
+                ready(oneshot, Some(0xff)),
+            ),
+            (
+                format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"keep":true}}"#),
+                ready(Verb::AdmitPredict { keep: true }, None),
+            ),
+            (format!(r#"{{"v":1.0,"op":"admit","plan":{plan_doc}}}"#), ready(Verb::Admit, None)),
+            // `keep` is read by `admit_predict` only.
+            (format!(r#"{{"v":1,"op":"admit","plan":{plan_doc},"keep":5}}"#), ready(Verb::Admit, None)),
+            (r#"{"v":1,"op":"stats","tenant":"0"}"#.to_string(), ready(Verb::Stats, Some(0))),
+            // Keys a verb does not read may hold any JSON, even a bad plan.
+            (
+                r#"{"v":1,"op":"shutdown","plan":{"bogus":1},"keep":"x","id":[]}"#.to_string(),
+                ready(Verb::Shutdown, None),
+            ),
+            (
+                r#"{"v":1,"op":"retire","id":"18446744073709551615"}"#.to_string(),
+                ready(Verb::Retire { id: u64::MAX }, None),
+            ),
+            // `u64::from_str` takes a leading `+`; duplicate keys are last-wins.
+            (r#"{"v":1,"op":"predict","id":"+7"}"#.to_string(), ready(Verb::Predict { id: 7 }, None)),
+            (
+                r#"{"v":1,"op":"retire","id":"1","id":"2","op":"predict"}"#.to_string(),
+                ready(Verb::Predict { id: 2 }, None),
+            ),
+            (format!(r#"{{"v":2,"op":"admit_predict","plan":{plan_doc}}}"#), FastDecode::Fallback),
+            (
+                format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"tenant":"zz"}}"#),
+                FastDecode::Fallback,
+            ),
+            (
+                format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"tenant":null}}"#),
+                FastDecode::Fallback,
+            ),
+            (r#"{"v":1,"op":"stats","tenant":"zz"}"#.to_string(), FastDecode::Fallback),
+            (
+                format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc},"keep":1}}"#),
+                FastDecode::Fallback,
+            ),
+            (format!(r#"{{"op":"admit_predict","plan":{plan_doc}}}"#), FastDecode::Fallback),
+            (r#"{"v":1,"op":"admit_predict"}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":"admit","plan":{"bogus":1}}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":"predict","id":7}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":"predict","id":"18446744073709551616"}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":"retire","id":"2","id":2}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":"predict"}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":"explode"}"#.to_string(), FastDecode::Fallback),
+            (r#"{"v":1,"op":5}"#.to_string(), FastDecode::Fallback),
+            (format!(r#"{{"v":1,"op":"admit_predict","plan":{plan_doc}}} trailing"#), FastDecode::Fallback),
+            (format!(r#"[{{"v":1,"op":"admit_predict","plan":{plan_doc}}}]"#), FastDecode::Fallback),
+            (String::new(), FastDecode::Fallback),
         ] {
-            assert_eq!(rs.decode(&line), FastDecode::Fallback, "line: {line}");
+            assert_eq!(rs.decode(&line), want, "line: {line}");
             check_line(&mut rs, &line);
         }
     }
@@ -1419,7 +1490,7 @@ mod tests {
         let good = wrap_filter(leaf);
         let line =
             format!(r#"{{"v":1,"op":"admit_predict","plan":{leaf},"plan":{good}}}"#);
-        assert!(matches!(rs.decode(&line), FastDecode::Ready { tenant: None }));
+        assert!(matches!(rs.decode(&line), FastDecode::Ready { tenant: None, .. }));
         assert_eq!(rs.plan().len(), 2, "scratch must hold only the second plan");
         check_line(&mut rs, &line);
         let line =
@@ -1539,16 +1610,26 @@ mod tests {
     fn arity_violations_fall_back_to_the_oracle_path() {
         let mut rs = RequestScratch::new();
         // A Join with one child decodes fine (`from_value` has no arity
-        // check) but must not take the fast path: the oracle path owns the
-        // `validate_plan` error reply.
+        // check) but is declined on every plan verb: the daemon words the
+        // `invalid_plan` reply through the oracle and `validate_plan`.
         let join = format!(
             r#"{{"op":{{"Join":{{"algo":"Hash","jtype":"Inner","parent_rel":"None"}}}},"est":{{"width":1,"rows":1,"buffers":0,"ios":0,"total_cost":1,"selectivity":1}},"actual":{{"rows":1,"latency_ms":1,"self_latency_ms":1}},"children":[{}]}}"#,
             leaf()
         );
         assert!(rs.decode_plan_doc(&join), "doc itself decodes");
-        let line = format!(r#"{{"v":1,"op":"admit_predict","plan":{join}}}"#);
-        assert_eq!(rs.decode(&line), FastDecode::Fallback);
-        check_line(&mut rs, &line);
+        for line in [
+            format!(r#"{{"v":1,"op":"admit_predict","plan":{join}}}"#),
+            format!(r#"{{"v":1,"op":"admit_predict","plan":{join},"keep":true}}"#),
+            format!(r#"{{"v":1,"op":"admit","plan":{join}}}"#),
+        ] {
+            assert_eq!(rs.decode(&line), FastDecode::Fallback);
+            check_line(&mut rs, &line);
+        }
+        // A verb that ignores its plan does not check it.
+        let line = format!(r#"{{"v":1,"op":"stats","plan":{join}}}"#);
+        assert_eq!(rs.decode(&line), FastDecode::Ready { verb: Verb::Stats, tenant: None });
+        let why = ScratchPlan::from_tree(&oracle_plan(&join).unwrap()).check_arity();
+        assert_eq!(why, Err("Join node with 1 children (expected 2)".to_string()));
     }
 
     #[test]

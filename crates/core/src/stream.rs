@@ -69,7 +69,7 @@ use crate::infer::{
     clamp_plan_envelope, forward_members, max_level_width, run_levels_parallel_with, SharedRows,
     Step, STEP_CHUNK_ROWS,
 };
-use crate::lower::{lower, Lowering, NodeContentKey, SubtreeKey};
+use crate::lower::{Lowering, NodeContentKey, SubtreeKey};
 use qpp_plansim::util::Fnv1a;
 use crate::tree::RatioCaps;
 use crate::unit::{PackedUnits, UnitSet};
@@ -282,7 +282,8 @@ impl PredictionCache {
     }
 
     /// Routing digest of a key's words (FNV-1a, same mixer as
-    /// [`plan_shard_hash`] — deterministic across platforms and runs).
+    /// [`ScratchPlan::shard_hash`] — deterministic across platforms and
+    /// runs).
     fn digest(key: &[u64]) -> u64 {
         let mut h = Fnv1a::new();
         for &w in key {
@@ -513,31 +514,35 @@ impl<'m> ProgramBuilder<'m> {
     /// rest of the batch: every node either maps onto an existing shared
     /// subtree (CSE hit — no new rows at all) or is appended into the
     /// open chunk of its `(height, family)` wavefront, featurizing only
-    /// shapes the cache has never seen.
+    /// shapes the cache has never seen. Lowers `root` into a
+    /// [`ScratchPlan`] and admits that ([`ProgramBuilder::admit_lowered`]).
     ///
     /// # Panics
     /// Panics if a node's child count does not match its family's arity
     /// (a malformed plan), or if feature sizes disagree with the fitted
     /// model (a featurizer/model mismatch).
     pub fn admit(&mut self, root: &PlanNode) -> PlanId {
-        let nodes_po = root.postorder();
-        let lowering = lower(root);
-        let n = nodes_po.len();
+        self.admit_lowered(&ScratchPlan::from_tree(root))
+    }
+
+    /// [`ProgramBuilder::admit`] of an already-lowered plan (sealed, as
+    /// the serve decoder leaves it). The builder copies what it keeps, so
+    /// the caller may reuse `plan`.
+    ///
+    /// # Panics
+    /// As [`ProgramBuilder::admit`].
+    pub fn admit_lowered(&mut self, plan: &ScratchPlan) -> PlanId {
+        let n = plan.len();
         // Validate the whole plan BEFORE touching any builder state, so a
         // rejection is atomic — a caller that catches the panic keeps a
         // consistent resident program with no orphaned rows. Two checks,
         // both hard asserts exactly as in `PlanProgram::compile`: arity
         // (plans can arrive from unvalidated JSON) and the
         // featurizer-vs-model shape agreement (a miswired builder).
-        for (k, node) in nodes_po.iter().enumerate() {
-            let kind = node.op.kind();
-            assert_eq!(
-                lowering.children_of(k).len(),
-                kind.arity(),
-                "malformed plan: {kind:?} node with {} children (arity {})",
-                lowering.children_of(k).len(),
-                kind.arity()
-            );
+        if let Err(why) = plan.check_arity() {
+            panic!("malformed plan: {why}");
+        }
+        for &kind in &plan.kinds {
             assert_eq!(
                 self.featurizer.feature_size(kind) + kind.arity() * self.out_w,
                 self.units.unit(kind).in_dim(),
@@ -546,16 +551,13 @@ impl<'m> ProgramBuilder<'m> {
         }
         let mut node_ids: Vec<u32> = Vec::with_capacity(n);
         let mut rows: Vec<usize> = Vec::with_capacity(n);
-        let mut kinds: Vec<OpKind> = Vec::with_capacity(n);
         let mut feat = std::mem::take(&mut self.feat_scratch);
         let mut child_rows = std::mem::take(&mut self.child_scratch);
 
-        for (k, node) in nodes_po.iter().enumerate() {
-            let kind = node.op.kind();
-            kinds.push(kind);
-            let content = NodeContentKey::of(node);
+        for (k, node) in plan.nodes.iter().enumerate() {
+            let (kind, content) = (plan.kinds[k], plan.contents[k]);
             let children: Vec<u32> =
-                lowering.children_of(k).iter().map(|&c| node_ids[c]).collect();
+                plan.lowering.children_of(k).iter().map(|&c| node_ids[c]).collect();
             let key = SubtreeKey { content, children };
             if let Some(&id) = self.cse.get(&key) {
                 // An identical subtree is already resident: share its rows.
@@ -573,7 +575,7 @@ impl<'m> ProgramBuilder<'m> {
                 self.units.unit(kind).in_dim(),
                 "feature/model shape mismatch for {kind:?}"
             );
-            let height = lowering.height_of(k) as u32;
+            let height = plan.lowering.height_of(k) as u32;
             let row = self.alloc_row();
             child_rows.clear();
             child_rows.extend(key.children.iter().map(|&c| self.nodes[c as usize].row));
@@ -593,6 +595,7 @@ impl<'m> ProgramBuilder<'m> {
         self.schedule_dirty = true;
         let id = self.next_id;
         self.next_id += 1;
+        let (lowering, kinds) = (plan.lowering.clone(), plan.kinds.clone());
         self.plans.insert(id, Resident { lowering, kinds, node_ids, rows });
         PlanId(id)
     }
@@ -735,7 +738,7 @@ impl<'m> ProgramBuilder<'m> {
     /// # Panics
     /// Panics on a featurizer/model shape mismatch (same contract as
     /// [`ProgramBuilder::admit`]); callers must pre-check arity via
-    /// [`ScratchPlan::arity_ok`].
+    /// [`ScratchPlan::check_arity`].
     pub fn predict_oneshot(&mut self, plan: &ScratchPlan) -> OneshotRun {
         let n = plan.len();
         assert!(n > 0, "plans are non-empty");
@@ -1109,37 +1112,24 @@ impl<'m> ProgramBuilder<'m> {
     }
 }
 
-/// Deterministic shard-routing hash of a whole plan: FNV-1a folded over
-/// every node's lossless [`NodeContentKey`] words plus the child hashes,
-/// so structurally identical plans always land on the same shard (which
-/// is what lets the per-shard CSE maps and feature caches keep their hit
-/// rates under sharding) and the routing is stable across platforms and
-/// runs — no pointer or insertion-order dependence.
-pub fn plan_shard_hash(node: &PlanNode) -> u64 {
-    let mut h = Fnv1a::new();
-    for &w in NodeContentKey::of(node).words() {
-        h.mix(w);
-    }
-    for child in &node.children {
-        h.mix(plan_shard_hash(child));
-    }
-    h.finish()
-}
-
 /// A plan decoded straight into lowering-ready form, bypassing the
 /// `PlanNode` tree: post-order node records (children lists live in the
 /// CSR [`Lowering`], so each stored node's own `children` vec stays
 /// empty — every consumer of a node's content is node-local, see
-/// [`NodeContentKey`]), the per-position [`OpKind`]s, and a bottom-up
-/// replica of [`plan_shard_hash`] per position.
+/// [`NodeContentKey`]), the per-position [`OpKind`]s and content keys, and
+/// a per-position shard-routing hash: FNV-1a folded bottom-up over each
+/// node's content-key words plus its children's hashes, so structurally
+/// identical plans land on the same shard (keeping the per-shard CSE
+/// maps and feature caches hot) on every platform and run.
 ///
-/// This is the reusable target of the serve fast path's scratch decoder
-/// (`crate::serve::scratch`): [`ScratchPlan::clear`] keeps every
-/// allocation, so a warm instance rebuilds from wire bytes without
-/// touching the allocator. It is also valid mid-construction — a decoder
-/// hitting a duplicate JSON key can [`ScratchPlan::truncate`] back to a
-/// mark and re-parse (last-wins semantics) because post-order suffixes
-/// are self-contained.
+/// It is the one form every admission reads
+/// ([`ProgramBuilder::admit_lowered`]) and the reusable target of the
+/// daemon's request decoder (`crate::serve::scratch`):
+/// [`ScratchPlan::clear`] keeps every allocation, so a warm instance
+/// rebuilds from wire bytes without touching the allocator. It is also
+/// valid mid-construction — a decoder hitting a duplicate JSON key can
+/// [`ScratchPlan::truncate`] back to a mark and re-parse (last-wins
+/// semantics) because post-order suffixes are self-contained.
 #[derive(Default)]
 pub struct ScratchPlan {
     nodes: Vec<PlanNode>,
@@ -1204,9 +1194,15 @@ impl ScratchPlan {
         self.lowering.seal();
     }
 
-    /// Rebuilds from an ordinary plan tree (post-order traversal). The
-    /// serve fast path decodes straight from wire bytes instead; this is
-    /// the reference constructor the differential tests compare against.
+    /// Lowers an ordinary plan tree into a new, sealed plan.
+    pub fn from_tree(root: &PlanNode) -> ScratchPlan {
+        let mut sp = ScratchPlan::new();
+        sp.rebuild_from_tree(root);
+        sp
+    }
+
+    /// Rebuilds from an ordinary plan tree (post-order traversal); the
+    /// daemon decodes straight from wire bytes instead.
     pub fn rebuild_from_tree(&mut self, root: &PlanNode) {
         fn rec(sp: &mut ScratchPlan, node: &PlanNode, kid_stack: &mut Vec<usize>) -> usize {
             let mark = kid_stack.len();
@@ -1241,16 +1237,25 @@ impl ScratchPlan {
         self.nodes.is_empty()
     }
 
-    /// True when every position's child count matches its operator
-    /// family's arity (the check `ProgramBuilder::admit` enforces by
-    /// panic; the fast path rejects before running instead).
-    pub fn arity_ok(&self) -> bool {
-        (0..self.len())
-            .all(|k| self.lowering.children_of(k).len() == self.kinds[k].arity())
+    /// Checks every position's child count against its operator family's
+    /// arity, naming the first violation in post order (the check
+    /// [`ProgramBuilder::admit_lowered`] enforces by panic; the daemon
+    /// answers it with `invalid_plan`).
+    pub fn check_arity(&self) -> Result<(), String> {
+        for k in 0..self.len() {
+            let (kind, kids) = (self.kinds[k], self.lowering.children_of(k).len());
+            if kids != kind.arity() {
+                return Err(format!(
+                    "{kind:?} node with {kids} children (expected {})",
+                    kind.arity()
+                ));
+            }
+        }
+        Ok(())
     }
 
-    /// The root's [`plan_shard_hash`] replica (the last post-order
-    /// position). Zero on an empty plan.
+    /// The root's shard-routing hash (the last post-order position; see
+    /// the type docs). Zero on an empty plan.
     pub fn shard_hash(&self) -> u64 {
         self.hashes.last().copied().unwrap_or(0)
     }
@@ -1394,8 +1399,14 @@ impl<'m> ShardedStream<'m> {
     /// contract as [`ProgramBuilder::admit`]: a malformed plan panics
     /// before any shard state is touched.
     pub fn admit(&mut self, root: &PlanNode) -> PlanId {
-        let shard = (plan_shard_hash(root) % self.shards.len() as u64) as usize;
-        let inner = self.shards[shard].admit(root);
+        self.admit_lowered(&ScratchPlan::from_tree(root))
+    }
+
+    /// [`ShardedStream::admit`] of an already-lowered plan, routed by
+    /// [`ScratchPlan::shard_hash`].
+    pub fn admit_lowered(&mut self, plan: &ScratchPlan) -> PlanId {
+        let shard = self.shard_of(plan);
+        let inner = self.shards[shard].admit_lowered(plan);
         let id = self.next_id;
         self.next_id += 1;
         self.routes.insert(id, (shard, inner));
@@ -1414,22 +1425,20 @@ impl<'m> ShardedStream<'m> {
     /// resident but unreachable — callers treating admission panics as
     /// recoverable should admit one at a time.
     pub fn admit_batch(&mut self, roots: &[&PlanNode], threads: usize) -> Vec<PlanId> {
-        // Route up front (cheap, pure), so the parallel section below
+        // Lower and route up front (pure), so the parallel section below
         // works on a fixed partition of disjoint shards.
-        let routed: Vec<usize> = roots
-            .iter()
-            .map(|r| (plan_shard_hash(r) % self.shards.len() as u64) as usize)
-            .collect();
+        let plans: Vec<ScratchPlan> = roots.iter().map(|r| ScratchPlan::from_tree(r)).collect();
+        let routed: Vec<usize> = plans.iter().map(|p| self.shard_of(p)).collect();
         let threads = threads.clamp(1, self.shards.len());
         let mut inner: Vec<Option<PlanId>> = vec![None; roots.len()];
         if threads <= 1 {
-            for (k, (&shard, root)) in routed.iter().zip(roots).enumerate() {
-                inner[k] = Some(self.shards[shard].admit(root));
+            for (k, (&shard, plan)) in routed.iter().zip(&plans).enumerate() {
+                inner[k] = Some(self.shards[shard].admit_lowered(plan));
             }
         } else {
             let shards_addr = self.shards.as_mut_ptr() as usize;
             let inner_addr = inner.as_mut_ptr() as usize;
-            let routed = &routed;
+            let (routed, plans) = (&routed, &plans);
             Executor::global().run(threads, &move |worker, _pool| {
                 // Worker `w` owns shards w, w+threads, … — every plan of
                 // a given shard is admitted by exactly one worker, in
@@ -1445,7 +1454,8 @@ impl<'m> ShardedStream<'m> {
                     // duration. `run` blocks until all workers finish.
                     unsafe {
                         let builder = &mut *(shards_addr as *mut ProgramBuilder<'m>).add(shard);
-                        *(inner_addr as *mut Option<PlanId>).add(k) = Some(builder.admit(roots[k]));
+                        *(inner_addr as *mut Option<PlanId>).add(k) =
+                            Some(builder.admit_lowered(&plans[k]));
                     }
                 }
             });
@@ -1508,12 +1518,11 @@ impl<'m> ShardedStream<'m> {
 
     /// One-shot root prediction of a non-resident plan (see
     /// [`ProgramBuilder::predict_oneshot`]), routed to the same
-    /// content-hash shard [`ShardedStream::admit`] would pick — the
-    /// [`ScratchPlan`] carries a bottom-up replica of
-    /// [`plan_shard_hash`] — so it warms exactly the feature cache that
-    /// resident admissions of the same templates would hit.
+    /// content-hash shard [`ShardedStream::admit`] would pick, so it
+    /// warms exactly the feature cache that resident admissions of the
+    /// same templates would hit.
     pub fn predict_oneshot(&mut self, plan: &ScratchPlan) -> OneshotRun {
-        let shard = (plan.shard_hash() % self.shards.len() as u64) as usize;
+        let shard = self.shard_of(plan);
         self.shards[shard].predict_oneshot(plan)
     }
 
@@ -1609,6 +1618,10 @@ impl<'m> ShardedStream<'m> {
             agg.rows_run += st.rows_run;
         }
         agg
+    }
+
+    fn shard_of(&self, plan: &ScratchPlan) -> usize {
+        (plan.shard_hash() % self.shards.len() as u64) as usize
     }
 
     fn route(&self, id: PlanId) -> &(usize, PlanId) {
@@ -1768,6 +1781,7 @@ mod tests {
     use super::*;
     use crate::config::{QppConfig, TargetTransform};
     use crate::infer::PlanProgram;
+    use crate::lower::lower;
     use qpp_plansim::catalog::Workload;
     use qpp_plansim::dataset::Dataset;
     use qpp_plansim::plan::Plan;
@@ -2129,6 +2143,21 @@ mod tests {
         assert!(stats.to_string().contains("mean width"));
     }
 
+    /// The tree-side definition of the shard-routing hash: FNV-1a over a
+    /// node's content-key words, then its children's hashes, recursively.
+    /// `ScratchPlan::shard_hash` folds the same bottom-up, so a plan
+    /// routes alike whether it arrives as a tree or as wire bytes.
+    fn tree_shard_hash(node: &PlanNode) -> u64 {
+        let mut h = Fnv1a::new();
+        for &w in NodeContentKey::of(node).words() {
+            h.mix(w);
+        }
+        for child in &node.children {
+            h.mix(tree_shard_hash(child));
+        }
+        h.finish()
+    }
+
     #[test]
     fn scratch_plan_replicates_lowering_and_shard_hash() {
         let (ds, _, _, _, _) = setup(Workload::TpcDs);
@@ -2148,8 +2177,8 @@ mod tests {
                 );
                 assert_eq!(sp.kinds()[k], node.op.kind());
             }
-            assert_eq!(sp.shard_hash(), plan_shard_hash(&p.root));
-            assert!(sp.arity_ok());
+            assert_eq!(sp.shard_hash(), tree_shard_hash(&p.root));
+            assert!(sp.check_arity().is_ok());
         }
     }
 
@@ -2436,12 +2465,14 @@ mod tests {
     #[test]
     fn shard_routing_is_deterministic() {
         let (ds, _, _, _, _) = setup(Workload::TpcH);
+        let hash = |root: &PlanNode| ScratchPlan::from_tree(root).shard_hash();
         for p in &ds.plans {
-            assert_eq!(plan_shard_hash(&p.root), plan_shard_hash(&p.root.clone()));
+            assert_eq!(hash(&p.root), hash(&p.root.clone()));
+            assert_eq!(hash(&p.root), tree_shard_hash(&p.root));
         }
         // Sanity: the hash actually spreads a workload (not all-one-bucket).
         let shards: std::collections::HashSet<u64> =
-            ds.plans.iter().map(|p| plan_shard_hash(&p.root) % 4).collect();
+            ds.plans.iter().map(|p| hash(&p.root) % 4).collect();
         assert!(shards.len() > 1, "routing must spread distinct plans");
     }
 }

@@ -1,16 +1,18 @@
-//! End-to-end tests for the serve fast path: the scratch request
-//! decoder must agree with the oracle decoder (vendored parser +
-//! serde-derive semantics) on random mutated wire lines, every
-//! fast-path reply line must be **byte-identical** to the oracle
-//! encoder's line for the in-process prediction (at 1 and 4 wavefront
-//! threads, 1 and 3 shards, over TCP and unix sockets), and a warmed
-//! connection must serve sustained one-shot predict load with **zero
-//! heap allocations** (`ServeStats::steady_allocs`).
+//! End-to-end tests for the daemon's request decoder and its one-shot
+//! fast path: the scratch request decoder must agree with the oracle
+//! decoder (vendored parser + serde-derive semantics) on random mutated
+//! wire lines of every verb, every one-shot reply line must be
+//! **byte-identical** to the oracle encoder's line for the in-process
+//! prediction (at 1 and 4 wavefront threads, 1 and 3 shards, over TCP
+//! and unix sockets), and a warmed connection must serve sustained
+//! one-shot predict load with **zero heap allocations**
+//! (`ServeStats::steady_allocs`).
 //!
-//! The decoder's contract is *fallback, not error parity*: `Ready` means
-//! the oracle would accept the line as an eligible one-shot
-//! `admit_predict` with the identical lowered plan; `Fallback` is always
-//! safe because the server re-runs the oracle decoder for the reply.
+//! The scratch decoder is the daemon's only decoder for accepted lines,
+//! so the agreement is checked both ways: `Ready` means the oracle
+//! accepts the line as the same request (verb, id, tenant, lowered
+//! plan), and `Fallback` means the oracle rejects it — the daemon runs
+//! the oracle only to word that error reply.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -21,7 +23,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use qpp::net::serve::proto::{self, Request, Response};
-use qpp::net::serve::scratch::{FastDecode, RequestScratch};
+use qpp::net::serve::scratch::{FastDecode, RequestScratch, Verb};
 use qpp::net::serve::{
     validate_plan, Client, ErrorCode, ErrorReply, ServeAddr, ServeConfig, Server,
 };
@@ -41,35 +43,84 @@ fn fixture() -> &'static (Dataset, QppNet) {
     })
 }
 
-/// One agreement check: whatever the scratch decoder claims about
-/// `line`, the oracle must back it up. `Fallback` is uninformative by
-/// contract; `Ready` must match the oracle's accept decision, tenant,
-/// eligibility gates, and lowered plan.
-fn check_agreement(scratch: &mut RequestScratch, line: &str) {
-    match scratch.decode(line) {
-        FastDecode::Fallback => {}
-        FastDecode::Ready { tenant } => {
-            let req = proto::decode_request(line).unwrap_or_else(|e| {
-                panic!("scratch Ready but oracle rejects [{:?}]: {line}", e.msg)
-            });
-            let Request::AdmitPredict { plan, keep: false, tenant: oracle_tenant } = req else {
-                panic!("scratch Ready but oracle decoded a different request: {line}")
-            };
-            assert_eq!(tenant, oracle_tenant, "tenant mismatch on {line}");
-            assert!(validate_plan(&plan).is_ok(), "scratch Ready on invalid arity: {line}");
-            let mut reference = ScratchPlan::new();
-            reference.rebuild_from_tree(&plan);
-            let got = scratch.plan();
-            assert_eq!(got.len(), reference.len(), "node count diverged on {line}");
-            assert_eq!(got.kinds(), reference.kinds(), "kinds diverged on {line}");
-            assert_eq!(got.nodes(), reference.nodes(), "nodes diverged on {line}");
-            assert_eq!(
-                got.shard_hash(),
-                reference.shard_hash(),
-                "content hash diverged on {line}"
-            );
-        }
+/// One request of verb `pick % 6` (plan-carrying verbs carry `plan`).
+fn request(pick: u8, plan: &PlanNode, keep: bool, id: u64) -> Request {
+    let plan = Box::new(plan.clone());
+    match pick % 6 {
+        0 => Request::Admit { plan, tenant: None },
+        1 => Request::Retire { id },
+        2 => Request::Predict { id },
+        3 => Request::AdmitPredict { plan, keep, tenant: None },
+        4 => Request::Stats,
+        _ => Request::Shutdown,
     }
+}
+
+/// The decode the scratch decoder owes a valid request.
+fn verb_of(req: &Request) -> Verb {
+    match *req {
+        Request::Admit { .. } => Verb::Admit,
+        Request::Retire { id } => Verb::Retire { id },
+        Request::Predict { id } => Verb::Predict { id },
+        Request::AdmitPredict { keep, .. } => Verb::AdmitPredict { keep },
+        Request::Stats => Verb::Stats,
+        Request::Shutdown => Verb::Shutdown,
+    }
+}
+
+/// The oracle encoder's line for `req`, plus a hex `tenant` on any verb
+/// (the oracle reads one on every verb) and, when `numeric_id`, the id
+/// as a JSON number (which the oracle rejects).
+fn request_line(req: &Request, tenant: Option<u64>, numeric_id: bool) -> String {
+    let mut v = serde_json::parse(&proto::encode_request(req)).expect("encoder output parses");
+    let m = v.as_object_mut().expect("requests are objects");
+    if let Some(fp) = tenant {
+        m.insert("tenant".into(), proto::encode_fingerprint(fp));
+    }
+    if let (true, Request::Retire { id } | Request::Predict { id }) = (numeric_id, req) {
+        m.insert("id".into(), serde_json::Value::Number(*id as f64));
+    }
+    serde_json::to_string(&v).expect("request serializes")
+}
+
+/// One agreement check, both ways: `Ready` must match the oracle's
+/// accept decision, verb, id, tenant and lowered plan, and `Fallback`
+/// must mean the oracle rejects the line or its plan fails arity.
+fn check_agreement(scratch: &mut RequestScratch, line: &str) {
+    let oracle = proto::decode_request(line);
+    let FastDecode::Ready { verb, tenant } = scratch.decode(line) else {
+        match oracle {
+            Err(_) => {}
+            Ok(Request::Admit { plan, .. } | Request::AdmitPredict { plan, .. })
+                if validate_plan(&plan).is_err() => {}
+            Ok(req) => panic!("scratch fell back on a request the oracle accepts: {req:?} {line}"),
+        }
+        return;
+    };
+    let req =
+        oracle.unwrap_or_else(|e| panic!("scratch Ready but oracle rejects [{:?}]: {line}", e.msg));
+    let value = proto::parse_guarded(line).expect("the oracle parsed the line");
+    let oracle_tenant = value.as_object().and_then(|m| m.get("tenant"));
+    let oracle_tenant = oracle_tenant.map(|t| proto::decode_fingerprint(t).expect("valid tenant"));
+    assert_eq!(tenant, oracle_tenant, "tenant mismatch on {line}");
+    assert_eq!(verb, verb_of(&req), "verb or id mismatch on {line}");
+    let (Request::Admit { plan, .. } | Request::AdmitPredict { plan, .. }) = req else {
+        return;
+    };
+    let reference = ScratchPlan::from_tree(&plan);
+    let got = scratch.plan();
+    assert_eq!(got.len(), reference.len(), "node count diverged on {line}");
+    assert_eq!(got.kinds(), reference.kinds(), "kinds diverged on {line}");
+    assert_eq!(got.nodes(), reference.nodes(), "nodes diverged on {line}");
+    for k in 0..got.len() {
+        assert_eq!(
+            got.lowering().children_of(k),
+            reference.lowering().children_of(k),
+            "children of {k} diverged on {line}"
+        );
+    }
+    assert_eq!(got.shard_hash(), reference.shard_hash(), "content hash diverged on {line}");
+    assert!(validate_plan(&plan).is_ok(), "scratch Ready on invalid arity: {line}");
 }
 
 /// Applies one structured mutation to an ASCII wire line.
@@ -78,7 +129,16 @@ fn mutate(line: &mut String, pos: usize, byte: u8, kind: u8) {
         r#"A"#,
         r#"\ud800"#,
         r#""op":"admit_predict","#,
+        r#""op":"admit","#,
+        r#""op":"predict","#,
+        r#""op":"stats","#,
         r#""keep":true,"#,
+        r#""keep":null,"#,
+        r#""id":"42","#,
+        r#""id":42,"#,
+        r#""id":"+9","#,
+        r#""tenant":"ff","#,
+        r#""tenant":"g","#,
         r#""children":[],"#,
         "00",
         ".5e3",
@@ -121,21 +181,26 @@ fn mutate(line: &mut String, pos: usize, byte: u8, kind: u8) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Random mutations of real wire lines: the scratch decoder and the
+    /// Random mutations of real wire lines of all six verbs — with and
+    /// without a tenant, `keep` true and false, string ids across the
+    /// full u64 range and numeric ids: the scratch decoder and the
     /// oracle must never disagree, and one warm `RequestScratch` reused
     /// across hostile inputs must never carry state over.
     #[test]
     fn scratch_decoder_agrees_with_oracle_under_mutation(
         pick in any::<usize>(),
+        verb in any::<u8>(),
         keep in any::<bool>(),
+        id in any::<u64>(),
+        numeric_id in any::<bool>(),
         tenant_bits in any::<u64>(),
         has_tenant in any::<bool>(),
         muts in prop::collection::vec((any::<usize>(), any::<u8>(), 0u8..6), 0..4),
     ) {
         let tenant = has_tenant.then_some(tenant_bits);
         let (ds, _) = fixture();
-        let plan = Box::new(ds.plans[pick % ds.plans.len()].root.clone());
-        let mut line = proto::encode_request(&Request::AdmitPredict { plan, keep, tenant });
+        let req = request(verb, &ds.plans[pick % ds.plans.len()].root, keep, id);
+        let mut line = request_line(&req, tenant, numeric_id);
         let mut scratch = RequestScratch::new();
         // The pristine line first (warms the scratch), then the mutants
         // through the SAME scratch: correctness must not depend on
@@ -148,24 +213,24 @@ proptest! {
     }
 
     /// Coverage guard against an over-conservative decoder: every
-    /// pristine eligible line (one-shot `admit_predict`, any tenant
-    /// form) must take the fast path, with the lowered plan matching a
-    /// from-tree rebuild.
+    /// pristine line of every verb (any tenant, `keep`, string id) must
+    /// decode, with the lowered plan matching a from-tree rebuild.
     #[test]
     fn pristine_oneshot_lines_always_take_the_fast_path(
         pick in any::<usize>(),
+        verb in any::<u8>(),
+        keep in any::<bool>(),
+        id in any::<u64>(),
         tenant_bits in any::<u64>(),
         has_tenant in any::<bool>(),
     ) {
         let tenant = has_tenant.then_some(tenant_bits);
         let (ds, _) = fixture();
-        let plan = Box::new(ds.plans[pick % ds.plans.len()].root.clone());
-        let line = proto::encode_request(&Request::AdmitPredict {
-            plan, keep: false, tenant,
-        });
+        let req = request(verb, &ds.plans[pick % ds.plans.len()].root, keep, id);
+        let line = request_line(&req, tenant, false);
         let mut scratch = RequestScratch::new();
         let got = scratch.decode(&line);
-        prop_assert_eq!(got, FastDecode::Ready { tenant }, "fell back on {}", line);
+        prop_assert_eq!(got, FastDecode::Ready { verb: verb_of(&req), tenant }, "fell back on {}", line);
         check_agreement(&mut scratch, &line);
     }
 }
@@ -279,8 +344,9 @@ fn fast_path_replies_are_byte_identical_to_slow_path() {
         })
         .collect();
 
-    // Lines the fast path must hand to the general path, with the reply
-    // that path gives.
+    // Lines the one-shot path must not serve, with the reply the daemon
+    // gives: an unknown tenant, a plan of bad arity, and the oracle's
+    // wording for lines it rejects.
     let arity_bad = r#"{"v":1,"op":"admit_predict","plan":{"op":"Materialize","est":{"width":1,"rows":1,"buffers":0,"ios":0,"total_cost":1,"selectivity":1},"actual":{"rows":1,"latency_ms":1,"self_latency_ms":1},"children":[]}}"#;
     let Ok(Request::AdmitPredict { plan: bad_plan, .. }) = proto::decode_request(arity_bad) else {
         panic!("the arity line decodes")
@@ -389,6 +455,7 @@ fn steady_state_fast_path_is_allocation_free() {
             });
             let mut ctl = Client::connect(addr).expect("control");
             let stats = ctl.stats().expect("stats");
+            assert_eq!(stats.connections, conns as u64 + 1, "every client plus this control one");
             assert_eq!(
                 stats.fast_path_predicted,
                 200 * conns as u64,
