@@ -618,6 +618,21 @@ mod tests {
     }
 
     #[test]
+    fn loaded_layers_rebuild_zeroed_grads_shaped_like_their_params() {
+        let ds = dataset();
+        let mut model = QppNet::new(fast(2), &ds.catalog);
+        model.fit(&ds.plans.iter().take(20).collect::<Vec<_>>());
+        let back = QppNet::from_json(&model.to_json()).unwrap();
+        for kind in qpp_plansim::operators::OpKind::ALL {
+            for layer in back.fitted().units.unit(kind).layers() {
+                assert_eq!((layer.gw.rows(), layer.gw.cols()), (layer.w.rows(), layer.w.cols()));
+                assert_eq!(layer.gb.len(), layer.b.len());
+                assert!(layer.gw.as_slice().iter().chain(&layer.gb).all(|&g| g == 0.0));
+            }
+        }
+    }
+
+    #[test]
     fn warm_start_transfers_behaviour_and_allows_fine_tuning() {
         let ds = dataset();
         let train: Vec<&Plan> = ds.plans.iter().take(30).collect();

@@ -8,10 +8,15 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::matrix::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Map, Serialize, Value};
 
 /// A dense layer `y = act(x·W + b)` with gradient accumulators.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serializes its parameters only (`w`, `b`, `act`): the gradient
+/// accumulators are scratch that training zeroes before every batch, so
+/// deserialization rebuilds them as zeros shaped like `w`/`b`. Documents
+/// that still carry `gw`/`gb` load unchanged (extra keys are ignored).
+#[derive(Debug, Clone)]
 pub struct Dense {
     /// Weights, `in_dim × out_dim`.
     pub w: Matrix,
@@ -28,13 +33,15 @@ pub struct Dense {
 impl Dense {
     /// Creates a layer with `init`-sampled weights and zero biases.
     pub fn new(in_dim: usize, out_dim: usize, act: Activation, init: Init, rng: &mut impl Rng) -> Self {
-        Dense {
-            w: init.matrix(in_dim, out_dim, rng),
-            b: vec![0.0; out_dim],
-            act,
-            gw: Matrix::zeros(in_dim, out_dim),
-            gb: vec![0.0; out_dim],
-        }
+        Dense::from_params(init.matrix(in_dim, out_dim, rng), vec![0.0; out_dim], act)
+    }
+
+    /// A layer over the given parameters (`b.len() == w.cols()`) with
+    /// zeroed gradient accumulators.
+    fn from_params(w: Matrix, b: Vec<f32>, act: Activation) -> Self {
+        let gw = Matrix::zeros(w.rows(), w.cols());
+        let gb = vec![0.0; b.len()];
+        Dense { w, b, act, gw, gb }
     }
 
     /// Input dimensionality.
@@ -128,6 +135,37 @@ impl Dense {
     }
 }
 
+impl Serialize for Dense {
+    fn ser_value(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("w".into(), self.w.ser_value());
+        m.insert("b".into(), self.b.ser_value());
+        m.insert("act".into(), self.act.ser_value());
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for Dense {
+    fn de_value(v: &Value) -> Result<Dense, Error> {
+        let m = v.as_object().ok_or_else(|| Error::custom("expected object for `Dense`"))?;
+        let w: Matrix = de_field(m, "w", "Dense")?;
+        let b: Vec<f32> = de_field(m, "b", "Dense")?;
+        if b.len() != w.cols() {
+            return Err(Error::custom("`Dense` bias length does not match the weight columns"));
+        }
+        Ok(Dense::from_params(w, b, de_field(m, "act", "Dense")?))
+    }
+}
+
+/// Reads field `name` of a `ty` object the way the derive does: missing
+/// is an error, unknown keys elsewhere in `m` are ignored.
+pub(crate) fn de_field<T: Deserialize>(m: &Map, name: &str, ty: &str) -> Result<T, Error> {
+    match m.get(name) {
+        Some(x) => T::de_value(x),
+        None => Err(Error::custom(format!("missing field `{name}` in `{ty}`"))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +207,41 @@ mod tests {
         l.zero_grad();
         assert_eq!(l.gw.norm(), 0.0);
         assert!(l.gb.iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn serde_writes_parameters_only_and_rebuilds_zeroed_grads() {
+        let mut l = layer();
+        let x = Matrix::from_fn(2, 4, |i, j| (i + j) as f32 * 0.3 - 0.5);
+        let (z, _) = l.forward_cached(&x);
+        let _ = l.backward(&x, &z, &Matrix::from_fn(2, 3, |_, _| 1.0));
+        let v = l.ser_value();
+        let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+        assert_eq!(keys, ["act", "b", "w"]);
+        let back = Dense::de_value(&v).unwrap();
+        assert_eq!((back.w.clone(), back.b.clone(), back.act), (l.w.clone(), l.b.clone(), l.act));
+        assert_eq!(back.gw, Matrix::zeros(4, 3));
+        assert_eq!(back.gb, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn serde_loads_documents_that_carry_grads() {
+        let l = layer();
+        let mut v = l.ser_value();
+        let m = v.as_object_mut().unwrap();
+        m.insert("gw".into(), Matrix::from_fn(4, 3, |_, _| 7.0).ser_value());
+        m.insert("gb".into(), vec![7.0f32; 3].ser_value());
+        let back = Dense::de_value(&v).unwrap();
+        assert_eq!(back.w, l.w);
+        assert_eq!(back.gw, Matrix::zeros(4, 3));
+        assert_eq!(back.gb, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn serde_rejects_mismatched_bias() {
+        let mut v = layer().ser_value();
+        v.as_object_mut().unwrap().insert("b".into(), vec![0.0f32; 2].ser_value());
+        assert!(Dense::de_value(&v).is_err());
     }
 
     #[test]

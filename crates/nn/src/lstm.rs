@@ -27,13 +27,17 @@
 //! certified against central differences by this module's tests.
 
 use crate::init::Init;
+use crate::layer::de_field;
 use crate::matrix::Matrix;
 use crate::optim::Optimizer;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Map, Serialize, Value};
 
 /// One parameter tensor triple `(W, U, b)` of a gate, with gradients.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Like [`crate::Dense`], it serializes its parameters only and rebuilds
+/// the gradient accumulators as zeros on load.
+#[derive(Debug, Clone)]
 pub struct Gate {
     /// Input projection, `in_dim × hidden`.
     pub w: Matrix,
@@ -53,14 +57,15 @@ impl Gate {
     fn new(in_dim: usize, hidden: usize, bias: f32, rng: &mut impl Rng) -> Gate {
         let w = Init::Xavier.matrix(in_dim, hidden, rng);
         let u = Init::Xavier.matrix(hidden, hidden, rng);
-        Gate {
-            w,
-            u,
-            b: vec![bias; hidden],
-            gw: Matrix::zeros(in_dim, hidden),
-            gu: Matrix::zeros(hidden, hidden),
-            gb: vec![0.0; hidden],
-        }
+        Gate::from_params(w, u, vec![bias; hidden])
+    }
+
+    /// A gate over the given parameters with zeroed gradient accumulators.
+    fn from_params(w: Matrix, u: Matrix, b: Vec<f32>) -> Gate {
+        let gw = Matrix::zeros(w.rows(), w.cols());
+        let gu = Matrix::zeros(u.rows(), u.cols());
+        let gb = vec![0.0; b.len()];
+        Gate { w, u, b, gw, gu, gb }
     }
 
     /// `x·W + h·U + b`, batched over rows.
@@ -134,6 +139,29 @@ impl LstmNodeCache {
     /// The node's memory cell, `batch × hidden`.
     pub fn memory(&self) -> &Matrix {
         &self.m
+    }
+}
+
+impl Serialize for Gate {
+    fn ser_value(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("w".into(), self.w.ser_value());
+        m.insert("u".into(), self.u.ser_value());
+        m.insert("b".into(), self.b.ser_value());
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for Gate {
+    fn de_value(v: &Value) -> Result<Gate, Error> {
+        let m = v.as_object().ok_or_else(|| Error::custom("expected object for `Gate`"))?;
+        let w: Matrix = de_field(m, "w", "Gate")?;
+        let u: Matrix = de_field(m, "u", "Gate")?;
+        let b: Vec<f32> = de_field(m, "b", "Gate")?;
+        if w.cols() != u.cols() || u.rows() != u.cols() || b.len() != u.cols() {
+            return Err(Error::custom("`Gate` parameter shapes disagree"));
+        }
+        Ok(Gate::from_params(w, u, b))
     }
 }
 
@@ -605,6 +633,24 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: TreeLstmCell = serde_json::from_str(&json).unwrap();
         assert_eq!(c.forward(&x, &[]).hidden(), back.forward(&x, &[]).hidden());
+    }
+
+    #[test]
+    fn serde_drops_gate_grads_and_rebuilds_them_zeroed() {
+        let mut c = cell(3, 5, 7);
+        let x = Matrix::from_fn(1, 3, |_, j| j as f32 * 0.3 - 0.2);
+        let out = c.forward(&x, &[]);
+        c.backward(&out, &Matrix::from_fn(1, 5, |_, _| 1.0), &Matrix::zeros(1, 5));
+        assert!(c.input_gate.gw.norm() > 0.0);
+        let json = serde_json::to_string(&c).unwrap();
+        assert!(!json.contains("\"gw\"") && !json.contains("\"gu\"") && !json.contains("\"gb\""));
+        let back: TreeLstmCell = serde_json::from_str(&json).unwrap();
+        for g in [&back.input_gate, &back.forget_gate, &back.output_gate, &back.candidate] {
+            assert_eq!(g.gw, Matrix::zeros(3, 5));
+            assert_eq!(g.gu, Matrix::zeros(5, 5));
+            assert_eq!(g.gb, vec![0.0; 5]);
+        }
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

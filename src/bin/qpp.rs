@@ -635,22 +635,29 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
 
     // One or more fitted model snapshots; the first is the default
-    // tenant, the rest are addressable by fingerprint.
+    // tenant, the rest are addressable by fingerprint. Each is reported
+    // with its size and read-plus-parse time.
     let mut models = Vec::new();
     for path in get(flags, "model")?.split(',') {
+        let started = std::time::Instant::now();
         let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let model = QppNet::from_json(&json).map_err(|e| format!("parsing {path}: {e}"))?;
         if !model.is_fitted() {
             return Err(format!("{path}: model is not fitted"));
         }
-        models.push((path.to_string(), model));
+        let load = format!(
+            "{:.1} MB, {} ms",
+            json.len() as f64 / 1e6,
+            started.elapsed().as_millis()
+        );
+        models.push((path.to_string(), load, model));
     }
 
     let mut server =
         Server::bind(&addr, cfg.clone()).map_err(|e| format!("binding {addr}: {e}"))?;
-    for (path, model) in &models {
+    for (path, load, model) in &models {
         let fp = server.register(model);
-        println!("tenant {fp:016x} <- {path}");
+        println!("tenant {fp:016x} <- {path} ({load})");
     }
     println!(
         "qpp serve: listening on {} ({} shards, {} threads)",

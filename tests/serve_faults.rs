@@ -28,7 +28,8 @@ fn fixture() -> &'static (Dataset, QppNet) {
 }
 
 /// Starts a daemon on loopback and runs `body` against it, shutting
-/// down cleanly afterwards.
+/// down cleanly afterwards — also when `body` panics, so a failed
+/// assertion fails the test instead of leaving the daemon running.
 fn with_server(cfg: ServeConfig, body: impl FnOnce(&ServeAddr)) {
     let (_, model) = fixture();
     let mut server = Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), cfg).expect("bind");
@@ -37,10 +38,13 @@ fn with_server(cfg: ServeConfig, body: impl FnOnce(&ServeAddr)) {
     std::thread::scope(|scope| {
         let server = &server;
         scope.spawn(move || server.run().expect("server run"));
-        body(&addr);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&addr)));
         let mut ctl = Client::connect(&addr).expect("control connect");
         ctl.set_timeout(Some(Duration::from_secs(10))).unwrap();
         ctl.shutdown().expect("clean shutdown");
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
     });
 }
 
@@ -152,6 +156,47 @@ fn oversized_line_resyncs_the_connection() {
         // Next request on the same connection parses fine.
         let (_, latency) = client.admit_predict(&ds.plans[2].root, false).expect("resynced");
         assert!(latency.is_finite());
+    });
+}
+
+/// A line just under the default 1 MiB cap whose `plan` is a string: the
+/// scratch decoder declines it, and the daemon re-parses it once to word
+/// the error reply. That parse must be linear in the line (a few ms in
+/// release); a scan that re-validates the rest of the line per character
+/// took tens of seconds here. The bound is far above the linear cost and
+/// far below the quadratic one. Meanwhile a second client keeps getting
+/// bit-identical service.
+#[test]
+fn megabyte_declined_line_is_answered_promptly_while_others_are_served() {
+    let (ds, _) = fixture();
+    with_server(ServeConfig::default(), |addr| {
+        let mut healthy = Client::connect(addr).expect("healthy connect");
+        healthy.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        let before = healthy.admit_predict(&ds.plans[1].root, false).expect("before").1;
+
+        let head = r#"{"v":1,"op":"admit_predict","plan":""#;
+        let tail = r#"","keep":false}"#;
+        let body = "plan é ✓ ".repeat((qpp::net::serve::MAX_LINE_DEFAULT - 4096) / 12);
+        let line = format!("{head}{body}{tail}");
+        assert!(line.len() > 1_000_000 && line.len() < qpp::net::serve::MAX_LINE_DEFAULT);
+
+        std::thread::scope(|scope| {
+            let big = scope.spawn(|| {
+                let mut client = Client::connect(addr).expect("connect");
+                client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+                let started = std::time::Instant::now();
+                expect_error(&mut client, &line, ErrorCode::InvalidPlan);
+                started.elapsed()
+            });
+            let mut served = 0;
+            while !big.is_finished() || served == 0 {
+                let again = healthy.admit_predict(&ds.plans[1].root, false).expect("during").1;
+                assert_eq!(before.to_bits(), again.to_bits(), "service disturbed by the big line");
+                served += 1;
+            }
+            let took = big.join().expect("big-line client");
+            assert!(took < Duration::from_secs(3), "declined 1 MiB line answered after {took:?}");
+        });
     });
 }
 
